@@ -187,7 +187,8 @@ def fundamental_weight(datum, i) -> LatticeVector:
     rows = [[Fraction(datum.a[r][c]) for c in range(n)] for r in range(n)]
     rhs = [Fraction(1) if r == i else Fraction(0) for r in range(n)]
     sol = Matrix(rows).solve(rhs)
-    assert sol is not None, "Cartan matrix is singular"
+    if sol is None:
+        raise ValueError("Cartan matrix is singular")
     return LatticeVector(sol)
 
 
@@ -243,7 +244,9 @@ def weyl_dim(datum, lam) -> int:
         num *= sym_form(datum, lam + r, beta)
         den *= sym_form(datum, r, beta)
     val = num / den
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise ValueError(f"Weyl dimension {val} is not a positive integer: "
+                         "the weight is not dominant integral")
     return int(val)
 
 
@@ -410,12 +413,15 @@ class ParamMatrix:
                     zexp[(i, j)] = zexp[(j, j)] * datum.a[j][i] - zexp[(j, i)]
         entries = {}
         for key, e in zexp.items():
-            assert e.denominator == 1
+            if e.denominator != 1:
+                raise ArithmeticError(f"non-integral zeta exponent {e}")
             entries[key] = zeta(ambient, int(e) % ambient)
         orders = []
         for i in range(datum.n):
             got = entries[(i, i)].multiplicative_order()
-            assert got == ell, (i, got, ell)
+            if got != ell:
+                raise ValueError(
+                    f"q_{i}{i} has order {got}, not the requested {ell}")
             orders.append(got)
         return ParamMatrix(datum, "root_of_unity", entries,
                            orders=tuple(orders), ambient=ambient, zexp=zexp)

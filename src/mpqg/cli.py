@@ -29,14 +29,14 @@ import sys
 import time
 from fractions import Fraction
 
-from .cartan import (CartanDatum, LatticeVector, ParamMatrix, kostant_count,
-                     weyl_dim)
+from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
+                     fundamental_weight, kostant_count, weyl_dim)
 from .cotensor import Word
-from .linalg import Matrix
 from .modules import (ClosureError, UndecidedReductionError, alcove_check,
-                      build_module, root_of_unity_module, weight_denominator)
+                      build_module, render_weight, root_of_unity_module,
+                      weight_denominator)
 from .pairing import SkewPairing, weights_of_height
-from .realization import IdealReducer, Realization
+from .realization import IdealReducer, Realization, relation_verdict
 from .twist import build_twist
 
 
@@ -201,16 +201,11 @@ class RunConfig:
     def default_weight(self):
         """First fundamental weight of the datum (root-basis coordinates):
         the smallest weight giving a nontrivial module."""
-        n = self.datum.n
-        one, zero = Fraction(1), Fraction(0)
-        rows = [[Fraction(self.datum.a[i][j]) for j in range(n)]
-                for i in range(n)]
-        rhs = [one if i == 0 else zero for i in range(n)]
-        sol = Matrix(rows).solve(rhs)
-        if sol is None:
+        try:
+            return fundamental_weight(self.datum, 0)
+        except ValueError:
             raise ConfigError(
                 "the Cartan matrix is singular; supply 'weights' explicitly")
-        return LatticeVector(tuple(sol))
 
     def module_weights(self):
         return self.weights if self.weights is not None \
@@ -241,7 +236,7 @@ class RunConfig:
             return ParamMatrix.root_of_unity(
                 datum, self.ell, weight_denominator=wd,
                 offdiag=self.offdiag_table())
-        except (ValueError, AssertionError) as ex:
+        except ValueError as ex:
             raise ConfigError(f"invalid root-of-unity parameters: {ex}")
 
     def offdiag_table(self):
@@ -268,8 +263,13 @@ class RunConfig:
 
 
 def _run(records, check, inputs, fn):
+    """Append the record of one check; an exhausted reduction search inside
+    it is reported as undecided."""
     t0 = time.perf_counter()
-    status, detail = fn()
+    try:
+        status, detail = fn()
+    except UndecidedReductionError as ex:
+        status, detail = "undecided", str(ex)
     records.append({
         "check": check,
         "inputs": inputs,
@@ -284,32 +284,6 @@ def _rid_label(rid):
     return f"{tag}({i},{j})"
 
 
-def render_weight(lam):
-    return "(" + ", ".join(str(c) for c in lam.coords) + ")"
-
-
-def _reduction_verdict(real, reducer, parts, bound, diagonal_commutator):
-    """Three-class verdict for a list of residuals: pass with an exact or
-    mod-ideal certificate, fail on a certified nonzero, undecided
-    otherwise."""
-    if all(p.is_zero for p in parts):
-        return "pass", "zero"
-    if not diagonal_commutator:
-        # everything except the same-index commutator must vanish literally
-        return "fail", "nonzero residual"
-    statuses = []
-    for p in parts:
-        if p.is_zero:
-            continue
-        status, _ = reducer.reduce(p, bound=bound)
-        statuses.append(status)
-    if any(s == "nonzero" for s in statuses):
-        return "fail", "certified nonzero mod ideal"
-    if any(s.startswith("undecided") for s in statuses):
-        return "undecided", f"membership search exhausted at bound {bound}"
-    return "pass", f"zero-mod-J({bound})"
-
-
 # -- suites --------------------------------------------------------------------------
 
 
@@ -319,12 +293,9 @@ def cmd_check_relations(cfg):
     reducer = IdealReducer(real)
     base = cfg.base_inputs()
     for rid in real.relation_ids():
-        tag, i, j = rid
-        diag = tag == "R5" and i == j
-
-        def fn(rid=rid, diag=diag):
-            parts = real.relation_residuals(rid)
-            return _reduction_verdict(real, reducer, parts, cfg.bound, diag)
+        def fn(rid=rid):
+            return relation_verdict(reducer, rid, real.relation_residuals(rid),
+                                    cfg.bound)
 
         _run(records, f"relations/{_rid_label(rid)}", base, fn)
     return records
@@ -557,7 +528,7 @@ def cmd_module(cfg):
 
         try:
             _run(records, "module/dimension", inputs, build)
-        except (ValueError, ClosureError, UndecidedReductionError) as ex:
+        except (ValueError, ClosureError) as ex:
             records.append({"check": "module/dimension", "inputs": inputs,
                             "status": "fail", "detail": str(ex), "ms": 0.0})
             continue
@@ -610,32 +581,13 @@ def cmd_twist(cfg):
 
     reducer = IdealReducer(ctx.real)
     for rid in ctx.real.relation_ids():
-        tag, i, j = rid
-        diag = tag == "R5" and i == j
-
-        def fn(rid=rid, diag=diag):
-            parts = ctx.twisted_residuals(rid)
-            return _reduction_verdict(ctx.real, reducer, parts, cfg.bound,
-                                      diag)
+        def fn(rid=rid):
+            return relation_verdict(reducer, rid, ctx.twisted_residuals(rid),
+                                    cfg.bound)
 
         _run(records, f"twist/{_rid_label(rid)}", base, fn)
 
-    def contraction():
-        samples = [g.identity]
-        for i in range(cfg.datum.n):
-            samples.append(g.basis(("K", i)))
-            samples.append(g.element([(("Kp", i), -1), (("K", i), 1)]))
-        for i in range(cfg.datum.n):
-            for j in range(cfg.datum.n):
-                for te in samples:
-                    for tf in samples:
-                        if not ctx.alpha_twist_residual(i, j, te, tf).is_zero:
-                            return "fail", (
-                                f"contraction transport broken at ({i},{j})")
-        return "pass", (f"{cfg.datum.n ** 2 * len(samples) ** 2} "
-                        "letter/tail combinations")
-
-    _run(records, "twist/contraction", base, contraction)
+    _run(records, "twist/contraction", base, ctx.contraction_verdict)
 
     def comparison():
         gens = []
@@ -713,7 +665,7 @@ def cmd_smallqg(cfg):
                 mod = root_of_unity_module(
                     datum, lam, cfg.ell, offdiag=cfg.offdiag_table(),
                     max_depth=cfg.max_depth)
-            except (ClosureError, UndecidedReductionError) as ex:
+            except ClosureError as ex:
                 return "fail", str(ex)
             want = weyl_dim(datum, lam)
             if mod.dimension != want:

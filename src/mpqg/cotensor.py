@@ -113,6 +113,44 @@ class Element:
         return self.alg.render(self)
 
 
+class Echelon:
+    """Incremental Gauss--Jordan form of a span of elements.
+
+    ``rows`` maps each pivot word to a row with coefficient one there, in
+    insertion order.  The rows are mutually reduced (no row has support on
+    another row's pivot), so one pass of `reduce` gives the canonical
+    remainder.  A new row pivots on its least word under ``key``.
+    """
+
+    def __init__(self, key=word_key):
+        self.key = key
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, x):
+        for pw, row in self.rows.items():
+            c = x.terms.get(pw)
+            if c is not None:
+                x = x - row.scale(c)
+        return x
+
+    def add(self, x):
+        """True when x was independent of the span (it is now inside)."""
+        x = self.reduce(x)
+        if x.is_zero:
+            return False
+        pw = min(x.terms, key=self.key)
+        x = x.scale(x.alg.one / x.terms[pw])
+        for qw, row in self.rows.items():
+            c = row.terms.get(pw)
+            if c is not None:
+                self.rows[qw] = row - x.scale(c)
+        self.rows[pw] = x
+        return True
+
+
 class CotensorAlgebra:
     """The full machinery for one Cartan datum / parameter matrix (and an
     optional highest-weight letter)."""
@@ -321,7 +359,8 @@ class CotensorAlgebra:
 
         def emit(acc, groups, coeff):
             w = Word(tuple(acc), tail)
-            assert self.slot_tails(w) == groups, "slot chain violated"
+            if self.slot_tails(w) != groups:
+                raise ArithmeticError("slot chain violated")
             s = out.get(w)
             out[w] = coeff if s is None else s + coeff
 
@@ -414,21 +453,13 @@ class CotensorAlgebra:
             out = self.product(out, x)
         return out
 
-    # -- torus (co)actions -------------------------------------------------------
+    # -- torus actions -------------------------------------------------------
 
     def act_left(self, gelt, x):
         return self.product(self.group_like(gelt), x)
 
     def act_right(self, x, gelt):
         return self.product(x, self.group_like(gelt))
-
-    def coact_left(self, x):
-        """Left coaction components (group element, word) -> coefficient."""
-        return {(self.total_grading(w), w): c for w, c in x.terms.items()}
-
-    def coact_right(self, x):
-        """Right coaction components (word, group element) -> coefficient."""
-        return {(w, w.tail): c for w, c in x.terms.items()}
 
     # -- antipode -----------------------------------------------------------------
 
@@ -475,7 +506,7 @@ class CotensorAlgebra:
     def render(self, x) -> str:
         if not x.terms:
             return "0"
-        keys = sorted(x.terms, key=lambda w: (len(w.letters), w.letters, w.tail))
+        keys = sorted(x.terms, key=word_key)
         bits = []
         for w in keys:
             bits.append(f"({x.terms[w]})*[{self.render_word(w)}]")

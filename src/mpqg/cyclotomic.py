@@ -58,7 +58,8 @@ def cyclotomic_polynomial(n: int):
     for d in range(1, n):
         if n % d == 0:
             q, r = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not r, "cyclotomic division left a remainder"
+            if r:
+                raise ArithmeticError("cyclotomic division left a remainder")
             num = q
     return tuple(num)
 
@@ -149,7 +150,8 @@ class CyclotomicElement:
             )
             r0, r1, s0, s1 = r1, r, s1, s
         lead = r1[-1]
-        assert len(r1) == 1, "cyclotomic polynomial is irreducible over Q"
+        if len(r1) != 1:
+            raise ArithmeticError("cyclotomic polynomial is not irreducible")
         inv = [c / lead for c in s1]
         return CyclotomicElement(self.order, inv)
 

@@ -54,7 +54,8 @@ class Matrix:
         self.rows = [list(r) for r in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
-        assert all(len(r) == self.ncols for r in self.rows), "ragged matrix"
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged matrix")
 
     def rank(self):
         if not self.rows:
@@ -63,7 +64,8 @@ class Matrix:
         return len(piv)
 
     def det(self):
-        assert self.nrows == self.ncols, "determinant of a non-square matrix"
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             raise ValueError("determinant of an empty matrix")
@@ -140,7 +142,9 @@ class Matrix:
                 for a, b in zip(row, vec):
                     t = a * b
                     acc = t if acc is None else acc + t
-                assert acc is None or not acc, "kernel vector failed back-substitution"
+                if acc:
+                    raise ArithmeticError(
+                        "kernel vector failed back-substitution")
         return basis
 
     def mul_vec(self, vec):
@@ -154,7 +158,8 @@ class Matrix:
         return out
 
     def __mul__(self, other):
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError("matrix product of mismatched shapes")
         out = []
         for i in range(self.nrows):
             row = []
@@ -168,13 +173,15 @@ class Matrix:
         return Matrix(out)
 
     def __sub__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix sum of mismatched shapes")
         return Matrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __add__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix sum of mismatched shapes")
         return Matrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
@@ -198,19 +205,3 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix([" + ", ".join(str(r) for r in self.rows) + "])"
-
-
-def rank(rows):
-    return Matrix(rows).rank()
-
-
-def det(rows):
-    return Matrix(rows).det()
-
-
-def solve(rows, rhs):
-    return Matrix(rows).solve(rhs)
-
-
-def kernel_basis(rows):
-    return Matrix(rows).kernel_basis()

@@ -20,18 +20,15 @@ from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
+from .cotensor import Echelon
 from .linalg import Matrix
 from .realization import (IdealReducer, NormalFormTable, Realization,
-                          has_contraction)
+                          has_contraction, relation_exprs)
 from .scalars import q_factorial
 
 
 def render_weight(mu) -> str:
     return "(" + ", ".join(str(c) for c in mu.coords) + ")"
-
-
-def _word_key(w):
-    return (len(w.letters), w.letters, w.tail)
 
 
 class UndecidedReductionError(RuntimeError):
@@ -103,36 +100,6 @@ class ModuleSetup:
         self.bound = int(bound)
 
 
-class _Span:
-    """Incrementally Gauss--Jordan-reduced span of machinery elements."""
-
-    def __init__(self, alg):
-        self.alg = alg
-        self.rows = []  # (pivot word, element with coefficient 1 there)
-
-    def reduce(self, vec):
-        for pw, row in self.rows:
-            c = vec.terms.get(pw)
-            if c:
-                vec = vec - row.scale(c)
-        return vec
-
-    def add(self, vec):
-        """True when vec was independent of the span (it is now inside)."""
-        vec = self.reduce(vec)
-        if vec.is_zero:
-            return False
-        pw = min(vec.terms, key=_word_key)
-        vec = vec.scale(self.alg.one / vec.terms[pw])
-        rows = []
-        for qw, row in self.rows:
-            c = row.terms.get(pw)
-            rows.append((qw, row - vec.scale(c)) if c else (qw, row))
-        rows.append((pw, vec))
-        self.rows = rows
-        return True
-
-
 class HighestWeightModule:
     """Lowering closure of the highest-weight word, with exact weight-space
     bases and adjoint actions of all presented generators."""
@@ -158,8 +125,7 @@ class HighestWeightModule:
 
     def _build(self):
         datum = self.datum
-        span = self._spans.setdefault(self.lam, _Span(self.alg))
-        span.add(self.highest_vector)
+        self._spans.setdefault(self.lam, Echelon()).add(self.highest_vector)
         frontier = [(self.lam, self.highest_vector)]
         depth = 0
         while frontier:
@@ -174,7 +140,7 @@ class HighestWeightModule:
                     if img.is_zero:
                         continue
                     nu = mu - simple_root(datum, i)
-                    spn = self._spans.setdefault(nu, _Span(self.alg))
+                    spn = self._spans.setdefault(nu, Echelon())
                     if spn.add(img):
                         nxt.append((nu, img))
             frontier = nxt
@@ -202,7 +168,7 @@ class HighestWeightModule:
 
     def basis(self, mu):
         spn = self._spans.get(mu)
-        return [row for _pw, row in spn.rows] if spn else []
+        return list(spn.rows.values()) if spn else []
 
     def weight_dims(self):
         return [(mu, len(self.basis(mu))) for mu in self.weights]
@@ -216,16 +182,11 @@ class HighestWeightModule:
         spn = self._spans.get(mu)
         if spn is None:
             return [] if vec.is_zero else None
-        coeffs = [self.alg.zero] * len(spn.rows)
-        rest = vec
-        for t, (pw, row) in enumerate(spn.rows):
-            c = rest.terms.get(pw)
-            if c:
-                coeffs[t] = c
-                rest = rest - row.scale(c)
-        if not rest.is_zero:
+        if not spn.reduce(vec).is_zero:
             return None
-        return coeffs
+        # the rows are mutually reduced: each coordinate is read off at its
+        # pivot word
+        return [vec.terms.get(pw, self.alg.zero) for pw in spn.rows]
 
     def vector_weight(self, vec):
         wts = {self.alg.weight_of_word(w) for w in vec.terms}
@@ -325,8 +286,7 @@ class HighestWeightModule:
                     f"adjoint image of a weight-{render_weight(mu)} vector "
                     f"left the computed module")
             cols.append(cc)
-        spn = self._spans.get(target)
-        dim_t = len(spn.rows) if spn else 0
+        dim_t = len(self._spans.get(target, ()))
         return Matrix([[cols[s][t] for s in range(len(cols))]
                        for t in range(dim_t)])
 
@@ -368,53 +328,8 @@ class HighestWeightModule:
     def _operator_parts(self, rid):
         """Lists of (monomial, coefficient) pairs whose summed adjoint
         action must annihilate every module vector."""
-        tag, i, j = rid
-        pm = self.params
-        one = Fraction(1)
-        wi, wii = ("w", i, 1), ("w", i, -1)
-        wpi, wpii = ("wp", i, 1), ("wp", i, -1)
-        wj, wpj = ("w", j, 1), ("wp", j, 1)
-        ei, fi = ("e", i), ("f", i)
-        ej, fj = ("e", j), ("f", j)
-        if tag == "R1":
-            return [
-                [((wi, wpj), one), ((wpj, wi), -one)],
-                [((wi, wii), one), ((), -one)],
-                [((wpi, wpii), one), ((), -one)],
-            ]
-        if tag == "R2":
-            return [
-                [((wi, wj), one), ((wj, wi), -one)],
-                [((wpi, wpj), one), ((wpj, wpi), -one)],
-            ]
-        if tag == "R3":
-            return [
-                [((wi, ej, wii), one), ((ej,), -pm.entry(i, j))],
-                [((wpi, ej, wpii), one), ((ej,), -pm.entry(j, i) ** -1)],
-            ]
-        if tag == "R4":
-            return [
-                [((wi, fj, wii), one), ((fj,), -pm.entry(i, j) ** -1)],
-                [((wpi, fj, wpii), one), ((fj,), -pm.entry(j, i))],
-            ]
-        if tag == "R5":
-            part = [((ei, fj), one), ((fj, ei), -one)]
-            if i == j:
-                c = pm.entry(i, i) / (pm.entry(i, i) - self.alg.one)
-                part.append(((wi,), -c))
-                part.append(((wpi,), c))
-            return [part]
-        if tag in ("R6", "R7"):
-            a = self.datum.a[i][j]
-            part = []
-            for k, coeff in self.real.serre_coefficients(i, j):
-                if tag == "R6":
-                    mono = (ei,) * (1 - a - k) + (ej,) + (ei,) * k
-                else:
-                    mono = (fi,) * k + (fj,) + (fi,) * (1 - a - k)
-                part.append((mono, coeff))
-            return [part]
-        raise ValueError(f"unknown relation tag {rid}")
+        return [list(x.terms.items())
+                for x in relation_exprs(self.datum, self.params, rid)]
 
     def _atom_shift(self, atom):
         if atom[0] == "e":
@@ -455,7 +370,7 @@ class HighestWeightModule:
         for atom in mono:
             end = end + self._atom_shift(atom)
         if not mono:
-            return end, self._identity_matrix(len(self._spans[mu].rows))
+            return end, self._identity_matrix(len(self._spans[mu]))
         cur = mu
         m = None
         for atom in reversed(mono):
@@ -551,8 +466,6 @@ def alcove_check(datum, lam, ell):
     order-ell alcove; raises on hypothesis violations."""
     if not datum.is_finite_type():
         raise ValueError("alcove membership needs a finite-type datum")
-    if len(datum.components()) != 1:
-        raise ValueError("alcove membership needs an indecomposable datum")
     ell = int(ell)
     if ell < 3 or ell % 2 == 0:
         raise ValueError("the order must be an odd integer >= 3")

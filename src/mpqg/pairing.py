@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .cartan import LatticeVector
+from .cotensor import Echelon
 from .linalg import Matrix
 from .realization import Realization, solve_in_span
 
@@ -198,10 +199,7 @@ class SkewPairing:
         seqs = self.monomials_of_weight(beta)
         chosen = []
         elements = []
-        # Gauss-Jordan pivots: each stored element has coefficient one on
-        # its pivot word and no support on any other pivot word, so a single
-        # reduction pass decides independence.
-        pivots = []
+        span = Echelon()
         for seq in seqs:
             if sign == "+":
                 elt = self.realize_upper(seq, zero_nu)
@@ -209,23 +207,9 @@ class SkewPairing:
                 elt = self.realize_lower(seq, zero_nu)
             else:
                 raise ValueError("sign must be '+' or '-'")
-            red = elt
-            for pw, pe in pivots:
-                c = red.terms.get(pw)
-                if c is not None:
-                    red = red - pe.scale(c)
-            if red.is_zero:
-                continue
-            pw = min(red.terms, key=lambda w: (len(w.letters), w.letters,
-                                               w.tail))
-            red = red.scale(self.alg.one / red.terms[pw])
-            for k, (opw, ope) in enumerate(pivots):
-                c = ope.terms.get(pw)
-                if c is not None:
-                    pivots[k] = (opw, ope - red.scale(c))
-            pivots.append((pw, red))
-            chosen.append(seq)
-            elements.append(elt)
+            if span.add(elt):
+                chosen.append(seq)
+                elements.append(elt)
         return chosen, elements
 
     def gram_matrix(self, beta):

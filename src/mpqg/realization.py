@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cotensor import CotensorAlgebra, Word, build_machinery, word_key
+from .cotensor import (CotensorAlgebra, Echelon, Word, build_machinery,
+                       word_key)
 from .linalg import Matrix
 from .scalars import q_binomial, q_factorial
 
@@ -231,76 +232,74 @@ class Realization:
                         out.append((tag, i, j))
         return out
 
-    def serre_coefficients(self, i, j):
-        """(k, coefficient) ladder of the higher-order vanishing sum for the
-        ordered pair i != j; shared by the algebra- and module-level checks."""
-        a = self.datum.a[i][j]
-        qii = self.params.entry(i, i)
-        out = []
-        for k in range(0, 1 - a + 1):
-            coeff = q_binomial(1 - a, k, qii)
-            coeff = coeff * qii ** (k * (k - 1) // 2) * self.params.entry(i, j) ** k
-            if k % 2:
-                coeff = -coeff
-            out.append((k, coeff))
-        return out
-
     def relation_residuals(self, rid):
         """Realized left-hand minus right-hand sides; a relation holds in the
         quotient iff every residual reduces to zero."""
-        tag, i, j = rid
-        pm = self.params
-        alg = self.alg
-        one = alg.one
-        if tag == "R1":
-            parts = [self.psi(w(i) * wp(j) - wp(j) * w(i)),
-                     self.psi(w(i) * w(i, -1)) - alg.unit(),
-                     self.psi(wp(i) * wp(i, -1)) - alg.unit()]
-        elif tag == "R2":
-            parts = [self.psi(w(i) * w(j) - w(j) * w(i)),
-                     self.psi(wp(i) * wp(j) - wp(j) * wp(i))]
-        elif tag == "R3":
-            parts = [self.psi(w(i) * e(j) * w(i, -1)) - self.psi(e(j)).scale(pm.entry(i, j)),
-                     self.psi(wp(i) * e(j) * wp(i, -1))
-                     - self.psi(e(j)).scale(pm.entry(j, i) ** -1)]
-        elif tag == "R4":
-            parts = [self.psi(w(i) * f(j) * w(i, -1))
-                     - self.psi(f(j)).scale(pm.entry(i, j) ** -1),
-                     self.psi(wp(i) * f(j) * wp(i, -1))
-                     - self.psi(f(j)).scale(pm.entry(j, i))]
-        elif tag == "R5":
-            res = self.psi(e(i) * f(j) - f(j) * e(i))
-            if i == j:
-                c = pm.entry(i, i) / (pm.entry(i, i) - one)
-                res = res - (self.k_elt(i) - self.kp_elt(i)).scale(c)
-            parts = [res]
-        elif tag in ("R6", "R7"):
-            a = self.datum.a[i][j]
-            total = alg.zero_element()
-            for k, coeff in self.serre_coefficients(i, j):
-                if tag == "R6":
-                    word = e(i) ** (1 - a - k) * e(j) * e(i) ** k
-                else:
-                    word = f(i) ** k * f(j) * f(i) ** (1 - a - k)
-                total = total + self.psi(word).scale(coeff)
-            parts = [total]
-        else:
-            raise ValueError(f"unknown relation tag {tag}")
-        return parts
+        return [self.psi(x)
+                for x in relation_exprs(self.datum, self.params, rid)]
 
-    def check_relation(self, rid, reducer=None, bound=4):
-        """Status in {'zero', 'zero-mod-J(bound)', 'failed'}."""
-        parts = self.relation_residuals(rid)
-        if all(p.is_zero for p in parts):
-            return "zero"
-        reducer = reducer or IdealReducer(self)
-        for p in parts:
-            if p.is_zero:
-                continue
-            status, _ = reducer.reduce(p, bound=bound)
-            if status != "zero":
-                return "failed"
-        return f"zero-mod-J({bound})"
+
+def relation_exprs(datum, params, rid):
+    """The defining relation rid as left-hand minus right-hand sides over the
+    presented generators, with the constants of the given parameter matrix.
+    This is the one relation table: the realization, the twisted product
+    and the module matrices all evaluate these expressions."""
+    tag, i, j = rid
+    q = params.entry
+    one = FreeExpr.one()
+    if tag == "R1":
+        return [w(i) * wp(j) - wp(j) * w(i), w(i) * w(i, -1) - one,
+                wp(i) * wp(i, -1) - one]
+    if tag == "R2":
+        return [w(i) * w(j) - w(j) * w(i), wp(i) * wp(j) - wp(j) * wp(i)]
+    if tag == "R3":
+        return [w(i) * e(j) * w(i, -1) - e(j).scale(q(i, j)),
+                wp(i) * e(j) * wp(i, -1) - e(j).scale(q(j, i) ** -1)]
+    if tag == "R4":
+        return [w(i) * f(j) * w(i, -1) - f(j).scale(q(i, j) ** -1),
+                wp(i) * f(j) * wp(i, -1) - f(j).scale(q(j, i))]
+    if tag == "R5":
+        res = e(i) * f(j) - f(j) * e(i)
+        if i == j:
+            res = res - (w(i) - wp(i)).scale(q(i, i) / (q(i, i) - params.one))
+        return [res]
+    if tag in ("R6", "R7"):
+        # the higher-order vanishing sum, ladder k = 0 .. 1 - a_ij
+        a = datum.a[i][j]
+        qii = q(i, i)
+        total = FreeExpr()
+        for k in range(0, 1 - a + 1):
+            coeff = q_binomial(1 - a, k, qii)
+            coeff = coeff * qii ** (k * (k - 1) // 2) * q(i, j) ** k
+            if k % 2:
+                coeff = -coeff
+            if tag == "R6":
+                word = e(i) ** (1 - a - k) * e(j) * e(i) ** k
+            else:
+                word = f(i) ** k * f(j) * f(i) ** (1 - a - k)
+            total = total + word.scale(coeff)
+        return [total]
+    raise ValueError(f"unknown relation tag {tag}")
+
+
+def relation_verdict(reducer, rid, parts, bound):
+    """Three-valued verdict on the residuals of relation rid: pass with an
+    exact or mod-ideal certificate, fail on a certified nonzero, undecided
+    when the membership search is exhausted.  Only the same-index
+    commutator R5(i,i) holds modulo the ideal; every other residual must
+    vanish literally."""
+    if all(p.is_zero for p in parts):
+        return "pass", "zero"
+    tag, i, j = rid
+    if tag != "R5" or i != j:
+        return "fail", "nonzero residual"
+    statuses = [reducer.reduce(p, bound=bound)[0] for p in parts
+                if not p.is_zero]
+    if any(s == "nonzero" for s in statuses):
+        return "fail", "certified nonzero mod ideal"
+    if any(s.startswith("undecided") for s in statuses):
+        return "undecided", f"membership search exhausted at bound {bound}"
+    return "pass", f"zero-mod-J({bound})"
 
 
 def solve_in_span(alg, target, columns):
@@ -308,7 +307,7 @@ def solve_in_span(alg, target, columns):
     support; None when inconsistent."""
     support = sorted(
         set(target.terms) | {w for col in columns for w in col.terms},
-        key=lambda w: (len(w.letters), w.letters, w.tail))
+        key=word_key)
     if not columns:
         return None if target.terms else []
     rows = [[col.terms.get(w, alg.zero) for col in columns] for w in support]
@@ -361,6 +360,18 @@ class IdealReducer:
 
     # -- generator enumeration ------------------------------------------------------
 
+    def targeted_generator(self, wrd, p):
+        """The ideal element u * r_i * v that replaces exactly the
+        contraction letter X_i at position p of the word: u is the prefix,
+        v the suffix together with the tail."""
+        alg = self.alg
+        prefix = Word(wrd.letters[:p], alg.group.identity)
+        suffix = Word(wrd.letters[p + 1:], wrd.tail)
+        return alg.product(
+            alg.product(alg.element({prefix: alg.one}),
+                        self.r_elt(wrd.letters[p][1])),
+            alg.element({suffix: alg.one}))
+
     def _generators_for(self, words, bound):
         """Ideal elements u * r_i * v targeting the contraction letters: for
         every occurrence of the i-th contraction letter in a word, the
@@ -369,10 +380,8 @@ class IdealReducer:
         back the same word plus reorderings, contractions (strictly
         shorter), and the group-algebra remainders of the generator
         (strictly fewer contraction letters)."""
-        alg = self.alg
         gens = []
         seen_words = set()
-        seen_gen_keys = set()
         queue = list(words)
         while queue:
             wrd = queue.pop()
@@ -384,17 +393,7 @@ class IdealReducer:
             for p, letter in enumerate(wrd.letters):
                 if letter[0] != "X":
                     continue
-                i = letter[1]
-                prefix = Word(wrd.letters[:p], alg.group.identity)
-                suffix = Word(wrd.letters[p + 1:], wrd.tail)
-                key = (prefix.letters, suffix.letters, suffix.tail, i)
-                if key in seen_gen_keys:
-                    continue
-                seen_gen_keys.add(key)
-                gen = alg.product(
-                    alg.product(alg.element({prefix: alg.one}),
-                                self.r_elt(i)),
-                    alg.element({suffix: alg.one}))
+                gen = self.targeted_generator(wrd, p)
                 if gen.is_zero:
                     continue
                 gens.append(gen)
@@ -404,9 +403,6 @@ class IdealReducer:
         return gens, True
 
     # -- membership and normal form ---------------------------------------------------
-
-    def _solve_combination(self, x, columns):
-        return solve_in_span(self.alg, x, columns)
 
     def reduce(self, x, bound=4):
         """Decide membership of x in the ideal.
@@ -429,7 +425,7 @@ class IdealReducer:
             if self._filtration_one(comp):
                 return "nonzero", comp
             gens, _ = self._generators_for(list(comp.terms), bound)
-            sol = self._solve_combination(comp, gens)
+            sol = solve_in_span(alg, comp, gens)
             if sol is None:
                 any_undecided = True
         if any_undecided:
@@ -471,15 +467,15 @@ class IdealReducer:
                  if not any(t[0] == "X" for t in w.letters)}
                 | {w for w in comp.terms
                    if not any(t[0] == "X" for t in w.letters)},
-                key=lambda w: (len(w.letters), w.letters, w.tail))
+                key=word_key)
             columns = [alg.element({w: alg.one}) for w in standards] + gens
-            sol = self._solve_combination(comp, columns)
+            sol = solve_in_span(alg, comp, columns)
             if sol is None:
                 return None, f"undecided({bound})"
             ns = len(standards)
             support = sorted(
                 set(comp.terms) | {w for col in columns for w in col.terms},
-                key=lambda w: (len(w.letters), w.letters, w.tail))
+                key=word_key)
             rows = [[col.terms.get(w, alg.zero) for col in columns]
                     for w in support]
             for kv in Matrix(rows).kernel_basis():
@@ -515,39 +511,13 @@ class NormalFormTable:
         self.alg = reducer.alg
         self.bound = bound
         self.max_rows = max_rows
-        self.rows = {}          # pivot word -> monic row; rows are mutually
-                                # reduced: no row contains another's pivot
+        self.rows = Echelon(self._pivot_key)
         self._ensured = set()   # words whose targeted generators are present
-        self.mixed_rows = 0     # rows forced onto a contraction-free pivot
         self.saturated = False
 
     @staticmethod
     def _pivot_key(w):
-        return (0 if has_contraction(w) else 1,
-                len(w.letters), w.letters, w.tail)
-
-    def residual(self, x):
-        """Canonical remainder of x against the current table rows."""
-        for pw, row in self.rows.items():
-            c = x.terms.get(pw)
-            if c is not None:
-                x = x - row.scale(c)
-        return x
-
-    def _add_row(self, elt):
-        elt = self.residual(elt)
-        if elt.is_zero:
-            return
-        pw = min(elt.terms, key=self._pivot_key)
-        elt = elt.scale(self.alg.one / elt.terms[pw])
-        for q in list(self.rows):
-            row = self.rows[q]
-            c = row.terms.get(pw)
-            if c is not None:
-                self.rows[q] = row - elt.scale(c)
-        self.rows[pw] = elt
-        if not has_contraction(pw):
-            self.mixed_rows += 1
+        return (0 if has_contraction(w) else 1,) + word_key(w)
 
     def ensure(self, words):
         """Add the targeted replacement generators for every contraction
@@ -568,23 +538,18 @@ class NormalFormTable:
                 if len(self.rows) >= self.max_rows:
                     self.saturated = True
                     return
-                prefix = Word(wrd.letters[:p], self.alg.group.identity)
-                suffix = Word(wrd.letters[p + 1:], wrd.tail)
-                gen = self.alg.product(
-                    self.alg.product(self.alg.element({prefix: self.alg.one}),
-                                     self.reducer.r_elt(letter[1])),
-                    self.alg.element({suffix: self.alg.one}))
+                gen = self.reducer.targeted_generator(wrd, p)
                 queue.extend(sorted(
                     (w for w in gen.terms if w not in self._ensured),
                     key=word_key))
-                self._add_row(gen)
+                self.rows.add(gen)
 
     def normal_form(self, x):
         """(residual, ok): ok means the residual is contraction-free, hence
         a sound representative of x modulo the ideal."""
         x = self.reducer.xi_rewrite(x)
         while True:
-            x = self.residual(x)
+            x = self.rows.reduce(x)
             pending = [w for w in x.terms if has_contraction(w)]
             if not pending:
                 return x, True

@@ -94,13 +94,6 @@ def mono_cmp(a, b):
     return 0
 
 
-def _mono_sort_key(m):
-    # Embeds mono_cmp into a sortable key: tuple of (var, -exp) ascending is
-    # not enough because of sparsity, so compare via padded walk at use sites
-    # instead.  Kept for rendering only (stable, readable order).
-    return m
-
-
 def mono_str(m) -> str:
     if not m:
         return "1"
@@ -256,21 +249,6 @@ class LaurentPoly:
             return self
         return LaurentPoly({mono_mul(m, mono): c for m, c in self.terms.items()})
 
-    def rational_content(self):
-        """gcd of coefficient numerators / lcm of denominators, signed by the
-        leading coefficient."""
-        if not self.terms:
-            return ONE
-        nums = 0
-        dens = 1
-        for c in self.terms.values():
-            nums = gcd(nums, abs(c.numerator))
-            dens = dens * c.denominator // gcd(dens, c.denominator)
-        content = Fraction(nums, dens)
-        if self.leading()[1] < 0:
-            content = -content
-        return content
-
     def divide_exact(self, d):
         """Return self / d if the division is exact in the Laurent ring,
         else None.  Both operands are first cleared to genuine polynomials;
@@ -327,10 +305,6 @@ class LaurentPoly:
 def _render_rank(m):
     # total order key used only for printing; pads sparse monomials
     return tuple((v, e) for v, e in m) or ((("",), ZERO),)
-
-
-def _poly_sorted(terms):
-    return sorted(terms, key=_render_rank, reverse=True)
 
 
 _P_ZERO = LaurentPoly({})
@@ -541,7 +515,8 @@ def q_binomial(n, k, v):
         raise ValueError(f"q_binomial out of range: n={n}, k={k}")
     if isinstance(v, Scalar):
         res = q_factorial(n, v) / (q_factorial(k, v) * q_factorial(n - k, v))
-        assert res.is_polynomial, "Gaussian binomial failed to collapse"
+        if not res.is_polynomial:
+            raise ArithmeticError("Gaussian binomial failed to collapse")
         return res
     row = [v ** 0]
     for m in range(1, n + 1):

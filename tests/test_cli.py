@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from mpqg.cli import main, parse_config_text, ConfigError
+from mpqg.modules import HighestWeightModule, UndecidedReductionError
 
 
 def run_json(capsys, argv):
@@ -206,9 +207,39 @@ def test_custom_cartan_matrix(tmp_path, capsys):
     assert records[0]["inputs"]["datum"] == "custom(n=2)"
 
 
+def test_singular_cartan_needs_explicit_weights(tmp_path, capsys):
+    cfg = write_config(tmp_path, (
+        "cartan = [[2, -2], [-2, 2]]\nsymmetrizers = [1, 1]\n"))
+    assert main(["module", "--config", cfg]) == 2
+    assert "singular" in capsys.readouterr().err
+
+
+def test_undecided_reduction_is_an_undecided_record(monkeypatch, capsys):
+    def exhausted(self, i):
+        raise UndecidedReductionError("undecided", self.setup.bound)
+
+    monkeypatch.setattr(HighestWeightModule, "nilpotency_threshold", exhausted)
+    code, records = run_json(capsys, ["module", "--timings"])
+    assert code == 1
+    checks = [r["check"] for r in records]
+    assert checks == ["module/dimension", "module/nilpotency",
+                      "module/closure", "module/relations"]
+    rec = records[1]
+    assert rec["status"] == "undecided"
+    assert "word-length bound" in rec["detail"]
+    assert rec["ms"] >= 0
+    assert all(r["status"] == "pass" for r in records if r is not rec)
+
+
 def test_module_invocation_via_interpreter():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mpqg.cli", "check", "closed-forms"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.count('"status": "pass"') == 6
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mpqg.cli", "check",
+             "closed-forms"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.count('"status": "pass"') == 6
+        outs.append(proc.stdout)
+    # no check relies on assert statements, which -O strips
+    assert outs[0] == outs[1]

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mpqg.linalg import Matrix
 from mpqg.scalars import Scalar
 
@@ -16,6 +18,11 @@ def test_rank_and_det_fractions():
     m2 = Matrix([[F(1), F(2)], [F(3), F(5)]])
     assert m2.det() == -1
     assert m2.rank() == 2
+
+
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix([[F(1), F(2)], [F(3)]])
 
 
 def test_solve_and_kernel():

@@ -296,9 +296,9 @@ def test_alcove_check():
     aff = CartanDatum(((2, -2), (-2, 2)), (1, 1))
     with pytest.raises(ValueError, match="finite"):
         alcove_check(aff, LatticeVector((Fraction(0), Fraction(0))), 5)
-    with pytest.raises(ValueError, match="indecomposable"):
-        alcove_check(CartanDatum.preset("A1xA1"),
-                     LatticeVector((Fraction(0), Fraction(0))), 5)
+    # a product datum: its positive roots give the product alcove
+    a1xa1 = CartanDatum.preset("A1xA1")
+    assert alcove_check(a1xa1, LatticeVector((Fraction(1, 2), Fraction(0))), 5)
     with pytest.raises(ValueError, match="dominant"):
         alcove_check(A2, LatticeVector((Fraction(1), Fraction(0))), 5)
 

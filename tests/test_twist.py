@@ -6,7 +6,7 @@ import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix
 from mpqg.cotensor import Word
-from mpqg.realization import Realization, e, f, w
+from mpqg.realization import IdealReducer, Realization, relation_verdict
 from mpqg.twist import TwistContext, build_twist
 
 
@@ -175,13 +175,16 @@ def test_phi_connects_realizations():
 @pytest.mark.parametrize("preset", ["A2", "B2"])
 def test_twisted_relations(preset):
     ctx = build_twist(CartanDatum.preset(preset))
-    report = ctx.verify_twisted_relations()
-    for rid, status in report.items():
+    reducer = IdealReducer(ctx.real)
+    for rid in ctx.real.relation_ids():
+        status = relation_verdict(reducer, rid, ctx.twisted_residuals(rid), 4)
         tag, i, j = rid
         if tag == "R5" and i == j:
-            assert status == "zero-mod-J(4)", (rid, status)
+            assert status == ("pass", "zero-mod-J(4)"), (rid, status)
         else:
-            assert status == "zero", (rid, status)
+            assert status == ("pass", "zero"), (rid, status)
+    status, detail = ctx.contraction_verdict()
+    assert status == "pass", detail
 
 
 def test_twisted_commutator_residual_matches_untwisted():
@@ -189,6 +192,13 @@ def test_twisted_commutator_residual_matches_untwisted():
     (twisted,) = ctx.twisted_residuals(("R5", 0, 0))
     (plain,) = ctx.real.relation_residuals(("R5", 0, 0))
     assert twisted == plain
+    # the identity target twists by the trivial cocycle: every residual
+    # is the plain one
+    for preset in ("A1", "A1xA1", "A2", "B2", "G2"):
+        ctx = build_twist(CartanDatum.preset(preset), "identity")
+        for rid in ctx.real.relation_ids():
+            assert ctx.twisted_residuals(rid) \
+                == ctx.real.relation_residuals(rid), (preset, rid)
 
 
 def test_rejects_incompatible_target():
