@@ -118,6 +118,9 @@ def parse_config_text(text, where="<config>"):
                 raise ConfigError(
                     f"{where}:{ln}: value for {key!r} is not a literal")
         want = _KEY_TYPES[key]
+        if parsed is None and DEFAULTS[key] is not None:
+            raise ConfigError(
+                f"{where}:{ln}: {key!r} must be a {want.__name__}")
         if parsed is not None and not isinstance(parsed, want):
             raise ConfigError(
                 f"{where}:{ln}: {key!r} must be a {want.__name__}")
@@ -507,13 +510,16 @@ def cmd_module(cfg):
         holder = {}
 
         def build(lam=lam, holder=holder):
-            if cfg.mode == "root-of-unity":
-                mod = root_of_unity_module(
-                    cfg.datum, lam, cfg.ell, offdiag=cfg.offdiag_table(),
-                    max_depth=cfg.max_depth)
-            else:
-                mod = build_module(cfg.datum, cfg.make_params(lam), lam,
-                                   max_depth=cfg.max_depth)
+            try:
+                if cfg.mode == "root-of-unity":
+                    mod = root_of_unity_module(
+                        cfg.datum, lam, cfg.ell, offdiag=cfg.offdiag_table(),
+                        max_depth=cfg.max_depth)
+                else:
+                    mod = build_module(cfg.datum, cfg.make_params(lam), lam,
+                                       max_depth=cfg.max_depth)
+            except (ValueError, ClosureError) as ex:
+                return "fail", str(ex)
             holder["mod"] = mod
             dims = ", ".join(str(d) for _, d in mod.weight_dims())
             if cfg.datum.is_finite_type():
@@ -526,12 +532,7 @@ def cmd_module(cfg):
             return "pass", (f"dimension {mod.dimension} (no finite-type "
                             f"oracle); weight-space dims [{dims}]")
 
-        try:
-            _run(records, "module/dimension", inputs, build)
-        except (ValueError, ClosureError) as ex:
-            records.append({"check": "module/dimension", "inputs": inputs,
-                            "status": "fail", "detail": str(ex), "ms": 0.0})
-            continue
+        _run(records, "module/dimension", inputs, build)
         mod = holder.get("mod")
         if mod is None:
             continue

@@ -61,6 +61,29 @@ def render_letter(tag) -> str:
     return repr(tag)
 
 
+def add_into(d, terms, c=None):
+    """d += c * terms in place on a plain word -> coefficient dict (c = None
+    adds terms unscaled).  A word whose coefficient cancels is dropped, so d
+    never stores a zero; surviving words keep their place and new ones are
+    appended.  `Echelon` row operations and the sums of scaled elements
+    (realization, antipode, adjoint actions, twists) go through it."""
+    if c is not None and not c:
+        return
+    get = d.get
+    for w, v in terms.items():
+        if c is not None:
+            v = c * v
+        s = get(w)
+        if s is None:
+            d[w] = v
+        else:
+            s = s + v
+            if s:
+                d[w] = s
+            else:
+                del d[w]
+
+
 class Element:
     """Finitely supported coefficient map on basis words, bound to its
     algebra."""
@@ -73,13 +96,13 @@ class Element:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
+        add_into(out, other.terms)
         return Element(self.alg, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        add_into(out, other.terms, -self.alg.one)
+        return Element(self.alg, out)
 
     def __neg__(self):
         return Element(self.alg, {w: -c for w, c in self.terms.items()})
@@ -119,7 +142,10 @@ class Echelon:
     ``rows`` maps each pivot word to a row with coefficient one there, in
     insertion order.  The rows are mutually reduced (no row has support on
     another row's pivot), so one pass of `reduce` gives the canonical
-    remainder.  A new row pivots on its least word under ``key``.
+    remainder.  A new row pivots on its least word under ``key``.  Row
+    operations run in place on plain dicts through `add_into`; a stored row
+    is never mutated but replaced, so rows handed out earlier (module bases)
+    keep their value.
     """
 
     def __init__(self, key=word_key):
@@ -129,25 +155,33 @@ class Echelon:
     def __len__(self):
         return len(self.rows)
 
-    def reduce(self, x):
+    def _remainder(self, x):
+        d = dict(x.terms)
         for pw, row in self.rows.items():
-            c = x.terms.get(pw)
+            c = d.get(pw)
             if c is not None:
-                x = x - row.scale(c)
-        return x
+                add_into(d, row.terms, -c)
+        return d
+
+    def reduce(self, x):
+        return Element(x.alg, self._remainder(x))
 
     def add(self, x):
         """True when x was independent of the span (it is now inside)."""
-        x = self.reduce(x)
-        if x.is_zero:
+        d = self._remainder(x)
+        if not d:
             return False
-        pw = min(x.terms, key=self.key)
-        x = x.scale(x.alg.one / x.terms[pw])
+        pw = min(d, key=self.key)
+        inv = x.alg.one / d[pw]
+        for w, v in d.items():
+            d[w] = inv * v
         for qw, row in self.rows.items():
             c = row.terms.get(pw)
             if c is not None:
-                self.rows[qw] = row - x.scale(c)
-        self.rows[pw] = x
+                new = dict(row.terms)
+                add_into(new, d, -c)
+                self.rows[qw] = Element(x.alg, new)
+        self.rows[pw] = Element(x.alg, d)
         return True
 
 
@@ -472,22 +506,24 @@ class CotensorAlgebra:
             res = self.group_like(g.inv(w.tail))
         else:
             sg = self.suffix_groups(w.letters, w.tail)
-            acc = self.product(self.group_like(g.inv(sg[0])),
-                               self.element({w: self.one}))
+            acc = dict(self.product(self.group_like(g.inv(sg[0])),
+                                    self.element({w: self.one})).terms)
             for j in range(1, len(w.letters)):
                 left = Word(w.letters[:j], sg[j])
                 right = Word(w.letters[j:], w.tail)
-                acc = acc + self.product(self.antipode_word(left),
-                                         self.element({right: self.one}))
-            res = self.product(-acc, self.group_like(g.inv(w.tail)))
+                add_into(acc, self.product(self.antipode_word(left),
+                                           self.element({right: self.one})
+                                           ).terms)
+            res = self.product(-self.element(acc),
+                               self.group_like(g.inv(w.tail)))
         self._anti_cache[w] = res
         return res
 
     def antipode(self, x):
-        out = self.zero_element()
+        out = {}
         for w, c in x.terms.items():
-            out = out + self.antipode_word(w).scale(c)
-        return out
+            add_into(out, self.antipode_word(w).terms, c)
+        return self.element(out)
 
     # -- rendering ----------------------------------------------------------------
 

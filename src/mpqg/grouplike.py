@@ -11,6 +11,7 @@ bicharacters are stored by their values on generators and extended
 from __future__ import annotations
 
 import math
+from operator import add
 
 
 def render_tag(tag) -> str:
@@ -27,7 +28,7 @@ def render_tag(tag) -> str:
 class GradingGroup:
     """Finitely generated abelian group with per-generator moduli."""
 
-    __slots__ = ("gens", "moduli", "index", "identity")
+    __slots__ = ("gens", "moduli", "free", "index", "identity")
 
     def __init__(self, gens, moduli=None):
         self.gens = tuple(gens)
@@ -36,12 +37,16 @@ class GradingGroup:
         self.moduli = tuple(int(m) for m in moduli)
         if len(self.moduli) != len(self.gens) or any(m < 0 for m in self.moduli):
             raise ValueError("need one nonnegative modulus per generator")
+        # every modulus 0: exponent tuples are already reduced
+        self.free = not any(self.moduli)
         self.index = {t: k for k, t in enumerate(self.gens)}
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator tags")
         self.identity = (0,) * len(self.gens)
 
     def reduce(self, exps):
+        if self.free:
+            return tuple(exps)
         return tuple(
             e % m if m else e for e, m in zip(exps, self.moduli)
         )
@@ -60,7 +65,9 @@ class GradingGroup:
         return self.reduce(out)
 
     def mul(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        if self.free:
+            return tuple(map(add, a, b))
+        return self.reduce(map(add, a, b))
 
     def inv(self, a):
         return self.reduce(tuple(-x for x in a))

@@ -20,7 +20,7 @@ from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
-from .cotensor import Echelon
+from .cotensor import Echelon, add_into
 from .linalg import Matrix
 from .realization import (IdealReducer, NormalFormTable, Realization,
                           has_contraction, relation_exprs)
@@ -218,15 +218,15 @@ class HighestWeightModule:
         return self._act_atom(("e", i), vec)
 
     def _apply_terms(self, pairs, vec):
-        out = self.alg.zero_element()
+        out = {}
         for mono, coeff in pairs:
             acc = vec
             for atom in reversed(mono):
                 acc = self._act_atom(atom, acc)
                 if acc.is_zero:
                     break
-            out = out + acc.scale(self.alg.coerce(coeff))
-        return out
+            add_into(out, acc.terms, self.alg.coerce(coeff))
+        return self.alg.element(out)
 
     def adjoint_act(self, expr, vec):
         """Action of a presented-generator polynomial by iterated adjoint
@@ -434,15 +434,15 @@ def coinvariant_project(alg, x):
     """a -> sum a_(1) (incl . proj . antipode)(a_(2)), with proj the
     projection onto the length-zero (group-algebra) part.  Lands in the
     right-coinvariant subspace and is the identity there."""
-    out = alg.zero_element()
+    out = {}
     for (wa, wb), c in alg.coproduct(x).items():
         anti = alg.antipode_word(wb)
         proj = {w: cc for w, cc in anti.terms.items() if not w.letters}
         if not proj:
             continue
-        out = out + alg.product(alg.element({wa: alg.one}),
-                                alg.element(proj)).scale(c)
-    return out
+        add_into(out, alg.product(alg.element({wa: alg.one}),
+                                  alg.element(proj)).terms, c)
+    return alg.element(out)
 
 
 def is_right_coinvariant(alg, x):

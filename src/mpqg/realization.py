@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cotensor import (CotensorAlgebra, Echelon, Word, build_machinery,
-                       word_key)
+from .cotensor import (CotensorAlgebra, Echelon, Word, add_into,
+                       build_machinery, word_key)
 from .linalg import Matrix
 from .scalars import q_binomial, q_factorial
 
@@ -133,7 +133,7 @@ class Realization:
     def psi(self, expr: FreeExpr):
         """Algebra map from presented generators into the machinery."""
         alg = self.alg
-        out = alg.zero_element()
+        out = {}
         for mono, coeff in expr.terms.items():
             got = self._psi_cache.get(mono)
             if got is None:
@@ -141,30 +141,30 @@ class Realization:
                 for a in mono:
                     got = alg.product(got, self._atom_elt(a))
                 self._psi_cache[mono] = got
-            out = out + got.scale(alg.coerce(coeff))
-        return out
+            add_into(out, got.terms, alg.coerce(coeff))
+        return alg.element(out)
 
     # -- adjoint action ----------------------------------------------------------
 
     def ad_left(self, x, y):
         """ad_l(x)(y) = sum x_(1) * y * S(x_(2))."""
         alg = self.alg
-        out = alg.zero_element()
+        out = {}
         for (a, b), c in alg.coproduct(x).items():
             term = alg.product(alg.product(alg.element({a: alg.one}), y),
                                alg.antipode_word(b))
-            out = out + term.scale(c)
-        return out
+            add_into(out, term.terms, c)
+        return alg.element(out)
 
     def ad_right(self, x, y):
         """ad_r(x)(y) = sum S(x_(1)) * y * x_(2)."""
         alg = self.alg
-        out = alg.zero_element()
+        out = {}
         for (a, b), c in alg.coproduct(x).items():
             term = alg.product(alg.product(alg.antipode_word(a), y),
                                alg.element({b: alg.one}))
-            out = out + term.scale(c)
-        return out
+            add_into(out, term.terms, c)
+        return alg.element(out)
 
     def ad_power(self, side, i, j, s):
         """Iterated adjoint of the i-th generator on the j-th, s >= 1 times."""
@@ -454,12 +454,12 @@ class IdealReducer:
         x = self.xi_rewrite(x)
         if all(not any(t[0] == "X" for t in w.letters) for w in x.terms):
             return x, "ok"
-        out = alg.zero_element()
+        out = {}
         for _wt, comp in alg.weight_components(x).items():
             comp = self.xi_rewrite(comp)
             has_xi = any(t[0] == "X" for w in comp.terms for t in w.letters)
             if not has_xi:
-                out = out + comp
+                add_into(out, comp.terms)
                 continue
             gens, _ = self._generators_for(list(comp.terms), bound)
             standards = sorted(
@@ -485,8 +485,8 @@ class IdealReducer:
             for t, wrd in enumerate(standards):
                 if sol[t]:
                     part[wrd] = sol[t]
-            out = out + alg.element(part)
-        return out, "ok"
+            add_into(out, part)
+        return alg.element(out), "ok"
 
 
 def has_contraction(w):

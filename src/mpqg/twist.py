@@ -11,6 +11,7 @@ sigma(letter grading, inverse slot tail) and is the identity on group-likes.
 
 from __future__ import annotations
 
+from .cotensor import add_into
 from .grouplike import build_bicharacter
 from .realization import Realization, relation_exprs
 
@@ -45,26 +46,26 @@ class TwistContext:
         """x twisted-times y: per word pair, the cocycle evaluated on total
         gradings times its inverse on tails, times the untwisted product."""
         alg = self.alg
-        out = alg.zero_element()
+        out = {}
         for wx, cx in x.terms.items():
             gx = alg.total_grading(wx)
             for wy, cy in y.terms.items():
                 gy = alg.total_grading(wy)
                 s = self.sigma(gx, gy) * self.sigma_inv(wx.tail, wy.tail)
-                out = out + alg.element(alg.word_product(wx, wy)).scale(cx * cy * s)
-        return out
+                add_into(out, alg.word_product(wx, wy), cx * cy * s)
+        return alg.element(out)
 
     def psi_twisted(self, expr):
         """Evaluate a generator expression folding with the twisted
         product (images of the single generators are untouched)."""
         alg = self.alg
-        out = alg.zero_element()
+        out = {}
         for mono, coeff in expr.terms.items():
             acc = alg.unit()
             for a in mono:
                 acc = self.twisted_product(acc, self.real._atom_elt(a))
-            out = out + acc.scale(alg.coerce(coeff))
-        return out
+            add_into(out, acc.terms, alg.coerce(coeff))
+        return alg.element(out)
 
     def twisted_action(self, h, tag):
         """Scalar by which the group element h acts on the given letter in

@@ -67,6 +67,8 @@ def test_parse_config_rejections(line, fragment):
     "ell = 4\n",                                 # even order
     "ell = 1\n",
     "bound = 0\n",
+    "max_height = None\n",                       # its default is not None
+    "ell = None\n",
     "format = 'xml'\n",
     "qhat = 'random'\n",
     "cartan = [[2, -1], [-1, 2]]\n",             # missing symmetrizers
@@ -243,3 +245,16 @@ def test_module_invocation_via_interpreter():
         outs.append(proc.stdout)
     # no check relies on assert statements, which -O strips
     assert outs[0] == outs[1]
+
+
+def test_failed_module_build_is_timed(capsys):
+    code, records = run_json(capsys, ["module", "--lambda", "1,0",
+                                      "--timings"])
+    assert code == 1
+    assert len(records) == 1
+    rec = records[0]
+    assert rec["check"] == "module/dimension"
+    assert rec["status"] == "fail"
+    assert rec["detail"] == ("weight is not dominant integral: pairing "
+                             "with coroot 1 is -1")
+    assert rec["ms"] > 0

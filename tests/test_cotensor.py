@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix, weight_from_marks
-from mpqg.cotensor import Word, build_machinery
+from mpqg.cotensor import Echelon, Word, add_into, build_machinery, word_key
+from mpqg.linalg import Matrix
 from mpqg.scalars import q_factorial, q_int
 
 
@@ -321,6 +322,107 @@ def test_render_is_deterministic():
     r2 = alg.render(alg.product(alg.E(0), alg.F(0)))
     assert r1 == r2
     assert "tail=" in r1
+
+
+# -- the elimination kernel ----------------------------------------------------
+
+
+def test_add_into_scales_cancels_and_keeps_order():
+    d = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(3)}
+    add_into(d, {"b": Fraction(1), "d": Fraction(5), "a": Fraction(-1, 2)},
+             Fraction(-2))
+    # b cancels and is dropped; survivors keep their place, d is appended
+    assert list(d.items()) == [("a", 2), ("c", 3), ("d", -10)]
+    add_into(d, {"c": Fraction(-3), "e": Fraction(1)})
+    assert list(d.items()) == [("a", 2), ("d", -10), ("e", 1)]
+    add_into(d, {"a": Fraction(7)}, Fraction(0))
+    assert list(d.items()) == [("a", 2), ("d", -10), ("e", 1)]
+
+
+def _coefficient_algebras():
+    """One rank-one algebra per coefficient field: Fraction, symbolic
+    Scalar and cyclotomic (the last over a finite grading group)."""
+    a1 = CartanDatum.preset("A1")
+    return [
+        build_machinery(a1, ParamMatrix.numeric(a1, {(0, 0): Fraction(5)})),
+        build_machinery(a1, ParamMatrix.symbolic(a1)),
+        build_machinery(a1, ParamMatrix.root_of_unity(a1, 5)),
+    ]
+
+
+def _random_coefficient(alg, rng):
+    q = alg.params.entry(0, 0)
+    return (alg.coerce(rng.randint(-3, 3))
+            + alg.coerce(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            * q ** rng.randint(-1, 2))
+
+
+def _combination(alg, rng, vecs):
+    x = alg.zero_element()
+    for v in rng.sample(vecs, min(3, len(vecs))):
+        x = x + v.scale(_random_coefficient(alg, rng))
+    return x
+
+
+def _random_vectors(alg, rng, words, count):
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.3:
+            vecs.append(_combination(alg, rng, vecs))
+        else:
+            vecs.append(alg.element({w: _random_coefficient(alg, rng)
+                                     for w in rng.sample(words, 3)}))
+    return vecs
+
+
+def _columns(alg, vecs, extra=()):
+    """Dense matrix with one column per vector over the joint support."""
+    support = sorted({w for v in (*vecs, *extra) for w in v.terms},
+                     key=word_key)
+    return support, Matrix([[v.terms.get(w, alg.zero) for v in vecs]
+                            for w in support])
+
+
+def test_echelon_matches_dense_elimination():
+    rng = random.Random(20261018)
+    for alg in _coefficient_algebras():
+        words = sorted(set(_random_words(alg, rng, 12, max_len=2)),
+                       key=word_key)
+        vecs = _random_vectors(alg, rng, words, 9)
+        ech = Echelon()
+        independent = 0
+        for k, x in enumerate(vecs):
+            handed_out = list(ech.rows.values())
+            before = [dict(r.terms) for r in handed_out]
+            independent += ech.add(x)
+            # rows handed out earlier are replaced, never mutated
+            assert [r.terms for r in handed_out] == before
+            assert independent == _columns(alg, vecs[:k + 1])[1].rank()
+            for pw, row in ech.rows.items():
+                assert row.terms[pw] == alg.one
+                assert all(row.terms.values())
+                assert not any(qw in row.terms for qw in ech.rows
+                               if qw != pw)
+        probes = (vecs + _random_vectors(alg, rng, words, 6)
+                  + [_combination(alg, rng, vecs) for _ in range(4)])
+        seen = set()
+        for y in probes:
+            rem = ech.reduce(y)
+            assert all(rem.terms.values())
+            assert not set(rem.terms) & set(ech.rows)
+            support, m = _columns(alg, vecs, [y])
+            sol = m.solve([y.terms.get(w, alg.zero) for w in support])
+            assert rem.is_zero == (sol is not None)
+            seen.add(rem.is_zero)
+            if rem.is_zero:
+                # mutually reduced monic rows: each coordinate is the
+                # coefficient at its pivot word
+                rebuilt = alg.zero_element()
+                for pw, row in ech.rows.items():
+                    rebuilt = rebuilt + row.scale(
+                        y.terms.get(pw, alg.zero))
+                assert rebuilt == y
+        assert seen == {True, False}
 
 
 # -- helpers -------------------------------------------------------------------

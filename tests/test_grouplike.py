@@ -34,6 +34,26 @@ def test_group_laws_and_moduli():
     assert f.order() == 25
 
 
+def test_free_group_mul_matches_the_modulus_path():
+    rng = random.Random(5)
+    free = standard_group(2, with_weight=True)
+    mixed = GradingGroup(free.gens, (5, 0, 3, 0, 0))
+    assert free.free and not mixed.free
+    for _ in range(200):
+        a = tuple(rng.randint(-9, 9) for _ in free.gens)
+        b = tuple(rng.randint(-9, 9) for _ in free.gens)
+        s = [x + y for x, y in zip(a, b)]
+        for g in (free, mixed):
+            want = tuple(e % m if m else e for e, m in zip(s, g.moduli))
+            assert g.mul(a, b) == want
+            assert g.reduce(s) == want
+    finite = standard_group(1, moduli=(5,))
+    assert not finite.free
+    assert finite.mul((3, 4), (4, 3)) == (2, 2)
+    assert finite.basis(("K", 0), 7) == (2, 0)
+    assert finite.inv((1, 2)) == (4, 3)
+
+
 def test_weight_generator_is_infinite():
     g = standard_group(1, with_weight=True, moduli=(5,))
     w = g.basis(("KL",))

@@ -2,6 +2,7 @@
 thresholds, relation matrix identities, coinvariants, and the root-of-unity
 alcove variant."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -353,3 +354,20 @@ def test_report_shape():
     assert rep["closure_certified"] is True
     assert all(rep["relations"].values())
     assert [row["dim"] for row in rep["weight_spaces"]] == [1, 1]
+
+
+def test_coords_at_rebuilds_basis_combinations():
+    datum = CartanDatum.preset("A2")
+    params = ParamMatrix.numeric(datum, {(0, 0): 5, (1, 1): 5, (0, 1): 3})
+    mod = build_module(datum, params, LatticeVector((1, 1)))
+    assert [d for _, d in mod.weight_dims()].count(2) == 1
+    rng = random.Random(3)
+    for mu in mod.weights:
+        basis = mod.basis(mu)
+        coords = [mod.alg.coerce(Fraction(rng.randint(-4, 4),
+                                          rng.randint(1, 3)))
+                  for _ in basis]
+        vec = mod.alg.zero_element()
+        for c, b in zip(coords, basis):
+            vec = vec + b.scale(c)
+        assert mod.coords_at(mu, vec) == coords
