@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
                      fundamental_weight, kostant_count, weyl_dim)
-from .cotensor import Word
+from .cotensor import Word, add_into
 from .modules import (ClosureError, UndecidedReductionError, alcove_check,
                       build_module, render_weight, root_of_unity_module,
                       weight_denominator)
@@ -411,15 +411,15 @@ def cmd_check_hopf(cfg):
     def antipode():
         for w in anti_words:
             x = alg.element({w: alg.one})
-            left = alg.zero_element()
-            right = alg.zero_element()
+            left = {}
+            right = {}
             for (a, b), c in alg.coproduct(x).items():
-                left = left + alg.product(
-                    alg.antipode_word(a), alg.element({b: alg.one})).scale(c)
-                right = right + alg.product(
-                    alg.element({a: alg.one}), alg.antipode_word(b)).scale(c)
+                add_into(left, alg.product(
+                    alg.antipode_word(a), alg.element({b: alg.one})).terms, c)
+                add_into(right, alg.product(
+                    alg.element({a: alg.one}), alg.antipode_word(b)).terms, c)
             target = alg.unit().scale(alg.counit(x))
-            if left != target or right != target:
+            if alg.element(left) != target or alg.element(right) != target:
                 return "fail", f"antipode law broken on {alg.render_word(w)}"
         return "pass", f"{len(anti_words)} words, length <= {min(L, 3)}"
 

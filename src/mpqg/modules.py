@@ -71,7 +71,7 @@ class ModuleSetup:
     """Validated input bundle for one module build: a dominant integral
     weight, the parameter matrix, and the closure/reduction cutoffs."""
 
-    def __init__(self, datum, params, lam, *, max_depth=None, bound=None):
+    def __init__(self, datum, params, lam, *, max_depth=None):
         self.datum = datum
         self.params = params
         self.lam = lam
@@ -93,11 +93,9 @@ class ModuleSetup:
             # highest weight.
             max_depth = 2 * int(sum(Fraction(c) for c in lam.coords)) + 2
         self.max_depth = int(max_depth)
-        if bound is None:
-            # Module words hold at most max_depth lowering letters plus the
-            # weight letter; reduction never lengthens them.
-            bound = self.max_depth + 2
-        self.bound = int(bound)
+        # Module words hold at most max_depth lowering letters plus the
+        # weight letter; reduction never lengthens them.
+        self.bound = self.max_depth + 2
 
 
 class HighestWeightModule:
@@ -200,7 +198,7 @@ class HighestWeightModule:
         if any(has_contraction(w) for w in x.terms):
             x, ok = self.table.normal_form(x)
             if not ok:
-                raise UndecidedReductionError("undecided", self.setup.bound)
+                raise UndecidedReductionError("undecided", self.table.bound)
         for w in x.terms:
             if sum(1 for t in w.letters if t[0] == "V") != 1:
                 raise ValueError(
@@ -423,9 +421,9 @@ class HighestWeightModule:
         }
 
 
-def build_module(datum, params, lam, *, max_depth=None, bound=None):
+def build_module(datum, params, lam, *, max_depth=None):
     return HighestWeightModule(
-        ModuleSetup(datum, params, lam, max_depth=max_depth, bound=bound))
+        ModuleSetup(datum, params, lam, max_depth=max_depth))
 
 
 # -- coinvariants of the degree-zero projection ------------------------------------
@@ -485,8 +483,7 @@ def alcove_check(datum, lam, ell):
     return True
 
 
-def root_of_unity_module(datum, lam, ell, *, offdiag=None, max_depth=None,
-                         bound=None):
+def root_of_unity_module(datum, lam, ell, *, offdiag=None, max_depth=None):
     """Module over order-ell cyclotomic parameters (ambient field refined by
     the weight's coordinate denominators); refuses weights outside the
     alcove."""
@@ -496,4 +493,4 @@ def root_of_unity_module(datum, lam, ell, *, offdiag=None, max_depth=None,
     params = ParamMatrix.root_of_unity(
         datum, ell, weight_denominator=weight_denominator(lam),
         offdiag=offdiag)
-    return build_module(datum, params, lam, max_depth=max_depth, bound=bound)
+    return build_module(datum, params, lam, max_depth=max_depth)

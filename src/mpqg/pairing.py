@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .cartan import LatticeVector
-from .cotensor import Echelon
+from .cotensor import Echelon, word_key
 from .linalg import Matrix
-from .realization import Realization, solve_in_span
+from .realization import Realization
 
 
 class SkewPairing:
@@ -146,7 +146,13 @@ class SkewPairing:
                 seen.add(key)
                 monos.append((seq, nu))
                 columns.append(self.realize_lower(seq, nu))
-        sol = solve_in_span(alg, y, columns)
+        if not columns:
+            return []
+        support = sorted(set(y.terms).union(*(col.terms for col in columns)),
+                         key=word_key)
+        rows = [[col.terms.get(w, alg.zero) for col in columns]
+                for w in support]
+        sol = Matrix(rows).solve([y.terms.get(w, alg.zero) for w in support])
         if sol is None:
             raise ValueError("element is not a combination of realized "
                              "lowering monomials")

@@ -3,11 +3,12 @@ machinery, the defining relations, adjoint powers with their closed forms,
 and reduction modulo the distinguished Hopf ideal.
 
 The ideal is generated by r_i = xi_i - K_i K'_i^{-1} + 1.  Reduction is a
-three-valued decision procedure: "zero" comes with an explicit membership
-combination; "nonzero" is only certified on the filtration-1 contraction-free
-part (group algebra plus single raising/lowering letters), where the
-realization is injective so the ideal meets it trivially; everything else is
-"undecided" at the given bound.
+three-valued decision procedure with one reducer, `NormalFormTable`: "zero"
+when the element reduces to nothing against the table of ideal elements
+u * r_i * v closed over its words; "nonzero" is only certified on the
+filtration-1 contraction-free part (group algebra plus single
+raising/lowering letters), where the realization is injective so the ideal
+meets it trivially; everything else is "undecided" at the given bound.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 
 from .cotensor import (CotensorAlgebra, Echelon, Word, add_into,
                        build_machinery, word_key)
-from .linalg import Matrix
 from .scalars import q_binomial, q_factorial
 
 
@@ -302,26 +302,12 @@ def relation_verdict(reducer, rid, parts, bound):
     return "pass", f"zero-mod-J({bound})"
 
 
-def solve_in_span(alg, target, columns):
-    """Exact solve of target = sum c_k columns[k] over the shared word
-    support; None when inconsistent."""
-    support = sorted(
-        set(target.terms) | {w for col in columns for w in col.terms},
-        key=word_key)
-    if not columns:
-        return None if target.terms else []
-    rows = [[col.terms.get(w, alg.zero) for col in columns] for w in support]
-    rhs = [target.terms.get(w, alg.zero) for w in support]
-    return Matrix(rows).solve(rhs)
-
-
 class IdealReducer:
     """Bounded reduction modulo the two-sided ideal (r_i : i)."""
 
-    def __init__(self, realization, max_generators=600):
+    def __init__(self, realization):
         self.real = realization
         self.alg = realization.alg
-        self.max_generators = max_generators
 
     def r_elt(self, i):
         alg = self.alg
@@ -337,28 +323,22 @@ class IdealReducer:
 
     def xi_rewrite(self, x):
         """Rewrite every length-1 contraction word (xi_i; K) into its
-        group-algebra congruent K_i K'_i^{-1} K - K."""
+        group-algebra congruent K_i K'_i^{-1} K - K.  One pass suffices:
+        the rewrite yields only length-0 words."""
         alg = self.alg
         g = alg.group
-        changed = True
-        while changed:
-            changed = False
-            out = {}
-            for word, c in x.terms.items():
-                if len(word.letters) == 1 and word.letters[0][0] == "X":
-                    i = word.letters[0][1]
-                    kkp = g.element([(("K", i), 1), (("Kp", i), -1)])
-                    up = g.mul(kkp, word.tail)
-                    out[Word((), up)] = out.get(Word((), up), alg.zero) + c
-                    out[Word((), word.tail)] = \
-                        out.get(Word((), word.tail), alg.zero) - c
-                    changed = True
-                else:
-                    out[word] = out.get(word, alg.zero) + c
-            x = alg.element(out)
-        return x
+        out = {}
+        for word, c in x.terms.items():
+            if len(word.letters) == 1 and word.letters[0][0] == "X":
+                i = word.letters[0][1]
+                kkp = g.element([(("K", i), 1), (("Kp", i), -1)])
+                add_into(out, {Word((), g.mul(kkp, word.tail)): c})
+                add_into(out, {Word((), word.tail): -c})
+            else:
+                add_into(out, {word: c})
+        return alg.element(out)
 
-    # -- generator enumeration ------------------------------------------------------
+    # -- generators and membership --------------------------------------------------
 
     def targeted_generator(self, wrd, p):
         """The ideal element u * r_i * v that replaces exactly the
@@ -372,44 +352,15 @@ class IdealReducer:
                         self.r_elt(wrd.letters[p][1])),
             alg.element({suffix: alg.one}))
 
-    def _generators_for(self, words, bound):
-        """Ideal elements u * r_i * v targeting the contraction letters: for
-        every occurrence of the i-th contraction letter in a word, the
-        generator with matching index replaces exactly that occurrence.  The
-        closure is finite because letter counts never grow: replacing gives
-        back the same word plus reorderings, contractions (strictly
-        shorter), and the group-algebra remainders of the generator
-        (strictly fewer contraction letters)."""
-        gens = []
-        seen_words = set()
-        queue = list(words)
-        while queue:
-            wrd = queue.pop()
-            if wrd in seen_words:
-                continue
-            seen_words.add(wrd)
-            if len(wrd.letters) > bound:
-                continue
-            for p, letter in enumerate(wrd.letters):
-                if letter[0] != "X":
-                    continue
-                gen = self.targeted_generator(wrd, p)
-                if gen.is_zero:
-                    continue
-                gens.append(gen)
-                if len(gens) > self.max_generators:
-                    return gens, False
-                queue.extend(gen.terms)
-        return gens, True
-
-    # -- membership and normal form ---------------------------------------------------
-
     def reduce(self, x, bound=4):
         """Decide membership of x in the ideal.
 
         Returns (status, witness): status in {"zero", "nonzero",
         "undecided(bound)"}; for "zero" the witness is the rewritten
-        element, for "nonzero" the certified component.
+        element, for "nonzero" the certified component.  Each weight
+        component is reduced against a fresh table closed over its words:
+        the generators are weight-homogeneous and the echelon remainder is
+        zero exactly when the component lies in their span.
         """
         alg = self.alg
         x = self.xi_rewrite(x)
@@ -419,14 +370,11 @@ class IdealReducer:
             return "nonzero", x
         any_undecided = False
         for _wt, comp in alg.weight_components(x).items():
-            comp = self.xi_rewrite(comp)
-            if comp.is_zero:
-                continue
             if self._filtration_one(comp):
                 return "nonzero", comp
-            gens, _ = self._generators_for(list(comp.terms), bound)
-            sol = solve_in_span(alg, comp, gens)
-            if sol is None:
+            table = NormalFormTable(self, bound=bound)
+            table.ensure(comp.terms)
+            if not table.rows.reduce(comp).is_zero:
                 any_undecided = True
         if any_undecided:
             return f"undecided({bound})", None
@@ -442,51 +390,6 @@ class IdealReducer:
             if word.letters and word.letters[0][0] not in ("E", "F"):
                 return False
         return True
-
-    def normal_form(self, x, bound=4):
-        """Contraction-free representative of x modulo the ideal.
-
-        Returns (element, status); status "ok" when the representative is
-        certified unique against the generated relations, otherwise
-        "undecided(bound)" / "ambiguous".
-        """
-        alg = self.alg
-        x = self.xi_rewrite(x)
-        if all(not any(t[0] == "X" for t in w.letters) for w in x.terms):
-            return x, "ok"
-        out = {}
-        for _wt, comp in alg.weight_components(x).items():
-            comp = self.xi_rewrite(comp)
-            has_xi = any(t[0] == "X" for w in comp.terms for t in w.letters)
-            if not has_xi:
-                add_into(out, comp.terms)
-                continue
-            gens, _ = self._generators_for(list(comp.terms), bound)
-            standards = sorted(
-                {w for g_ in gens for w in g_.terms
-                 if not any(t[0] == "X" for t in w.letters)}
-                | {w for w in comp.terms
-                   if not any(t[0] == "X" for t in w.letters)},
-                key=word_key)
-            columns = [alg.element({w: alg.one}) for w in standards] + gens
-            sol = solve_in_span(alg, comp, columns)
-            if sol is None:
-                return None, f"undecided({bound})"
-            ns = len(standards)
-            support = sorted(
-                set(comp.terms) | {w for col in columns for w in col.terms},
-                key=word_key)
-            rows = [[col.terms.get(w, alg.zero) for col in columns]
-                    for w in support]
-            for kv in Matrix(rows).kernel_basis():
-                if any(kv[t] for t in range(ns)):
-                    return None, "ambiguous"
-            part = {}
-            for t, wrd in enumerate(standards):
-                if sol[t]:
-                    part[wrd] = sol[t]
-            add_into(out, part)
-        return alg.element(out), "ok"
 
 
 def has_contraction(w):
@@ -504,6 +407,8 @@ class NormalFormTable:
     deterministically and is meant to be shared across many reductions
     (module construction touches the same weight regions over and over),
     amortizing the elimination work that a one-shot solve would repeat.
+    It is the one reducer: `IdealReducer.reduce` decides membership on a
+    fresh table per weight component.
     """
 
     def __init__(self, reducer: IdealReducer, *, bound=8, max_rows=4000):

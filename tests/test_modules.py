@@ -13,7 +13,7 @@ from mpqg.modules import (ClosureError, UndecidedReductionError, alcove_check,
                           build_module, coinvariant_project,
                           is_right_coinvariant, root_of_unity_module,
                           weight_denominator)
-from mpqg.realization import e, f
+from mpqg.realization import NormalFormTable, e, f
 
 
 A1 = CartanDatum.preset("A1")
@@ -335,15 +335,16 @@ def test_non_finite_type_needs_explicit_depth():
 
 
 def test_undecided_reduction_is_an_error_not_a_wrong_answer():
-    mod = a2_module((1, 1))
-    tight = build_module(A2, ParamMatrix.symbolic(A2), mod.lam, bound=2)
+    tight = a2_module((1, 1))
+    tight.table = NormalFormTable(tight.reducer, bound=2)
     deep = None
     for mu in tight.weights:
         if (tight.lam - mu).height() == 2:
             deep = tight.basis(mu)[0]
     assert deep is not None
-    with pytest.raises(UndecidedReductionError):
+    with pytest.raises(UndecidedReductionError, match="bound 2$") as err:
         tight.act_raise(0, deep)
+    assert err.value.bound == 2
 
 
 def test_report_shape():

@@ -1,14 +1,15 @@
 """Generator images, defining relations, adjoint closed forms, and ideal
 reduction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix
 from mpqg.cotensor import Word
-from mpqg.realization import (FreeExpr, IdealReducer, Realization, e, f,
-                              relation_verdict, w, wp)
+from mpqg.realization import (FreeExpr, IdealReducer, NormalFormTable,
+                              Realization, e, f, relation_verdict, w, wp)
 
 
 def make_real(preset, mode="symbolic", **kw):
@@ -187,17 +188,69 @@ def test_normal_form():
     reducer = IdealReducer(real)
     # a lone contraction word rewrites into the group algebra
     x = alg.element({Word((("X", 0),), g.basis(("Kp", 0))): alg.one})
-    nf, status = reducer.normal_form(x)
-    assert status == "ok"
+    nf, ok = NormalFormTable(reducer).normal_form(x)
+    assert ok
     want = alg.group_like(g.basis(("K", 0))) - alg.group_like(g.basis(("Kp", 0)))
     assert nf == want
-    # an interior contraction needs the linear-algebra path
+    # an interior contraction needs the table's elimination
     y = alg.element({Word((("E", 1), ("X", 0)), g.identity): alg.one})
-    nf, status = reducer.normal_form(y, bound=4)
-    assert status == "ok"
+    nf, ok = NormalFormTable(reducer, bound=4).normal_form(y)
+    assert ok
     assert all(t[0] != "X" for wd in nf.terms for t in wd.letters)
     status, _ = reducer.reduce(y - nf, bound=4)
     assert status == "zero"
+
+
+def test_reduction_cost_is_bounded():
+    real = make_real("A2")
+    alg = real.alg
+    reducer = IdealReducer(real)
+    y = alg.element({Word((("E", 1), ("X", 0)), alg.group.identity): alg.one})
+    # the row cap stops the closure and marks the table saturated
+    capped = NormalFormTable(reducer, bound=4, max_rows=1)
+    _, ok = capped.normal_form(y)
+    assert not ok and capped.saturated
+    # a word longer than the bound is left alone: no rows, no saturation
+    short = NormalFormTable(reducer, bound=1)
+    _, ok = short.normal_form(y)
+    assert not ok and not short.saturated and len(short.rows) == 0
+    assert reducer.reduce(y, bound=1) == ("undecided(1)", None)
+
+
+SOUNDNESS_CASES = [
+    ("A1", "symbolic", {}),
+    ("A2", "symbolic", {}),
+    ("A2", "numeric", {"entries": {(0, 0): 5, (1, 1): 5, (0, 1): 3}}),
+    ("A2", "root_of_unity", {"ell": 5}),
+    ("B2", "symbolic", {}),
+]
+
+
+@pytest.mark.parametrize("preset,mode,kw", SOUNDNESS_CASES)
+def test_reduce_is_sound_on_random_ideal_elements(preset, mode, kw):
+    real = make_real(preset, mode, **kw)
+    alg = real.alg
+    g = alg.group
+    n = real.datum.n
+    reducer = IdealReducer(real)
+    rng = random.Random(f"{preset}-{mode}")
+    letters = [()] + [((k, i),) for k in ("E", "F") for i in range(n)]
+
+    def sandwich():
+        u = Word(rng.choice(letters), g.identity)
+        v = Word(rng.choice(letters),
+                 g.basis(("K", rng.randrange(n)), rng.choice((-1, 1))))
+        mid = alg.product(alg.element({u: alg.one}),
+                          reducer.r_elt(rng.randrange(n)))
+        return alg.product(mid, alg.element({v: alg.one}))
+
+    for _ in range(6):
+        member = alg.zero_element()
+        for _ in range(2):
+            member = member + sandwich().scale(
+                rng.choice((-3, -2, -1, 1, 2, 3)))
+        assert reducer.reduce(member)[0] == "zero"
+        assert reducer.reduce(member + alg.E(0))[0] != "zero"
 
 
 def test_serre_sum_shape_differs_between_sides():
