@@ -5,7 +5,7 @@ A parameter matrix q = (q_ij) must satisfy the compatibility constraint
 
     q_ij * q_ji = q_ii ^ a_ij        for all i, j,
 
-which is checked exactly at construction in every mode.  The modes are:
+which is checked exactly at construction in every mode.
 
 Because the constraint holds for every ordered pair, it forces
 q_ii^a_ij = q_jj^a_ji: within a connected component of the Cartan graph the

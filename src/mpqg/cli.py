@@ -28,13 +28,13 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
                      fundamental_weight, kostant_count, weyl_dim)
 from .cotensor import Word, add_into
 from .modules import (ClosureError, UndecidedReductionError, alcove_check,
-                      build_module, render_weight, root_of_unity_module,
-                      weight_denominator)
+                      build_module, render_weight, root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height
 from .realization import IdealReducer, Realization, relation_verdict
 from .twist import build_twist
@@ -214,7 +214,7 @@ class RunConfig:
         return self.weights if self.weights is not None \
             else [self.default_weight()]
 
-    def make_params(self, lam=None):
+    def make_params(self):
         datum = self.datum
         if self.mode == "symbolic":
             return ParamMatrix.symbolic(datum)
@@ -234,11 +234,14 @@ class RunConfig:
                 return ParamMatrix.numeric(datum, table)
             except (KeyError, ValueError) as ex:
                 raise ConfigError(f"invalid numeric entries: {ex}")
-        wd = weight_denominator(lam) if lam is not None else 1
+        return self.root_of_unity_params()
+
+    def root_of_unity_params(self):
+        """Order-ell parameters for the datum; an order the datum cannot
+        take is a configuration error."""
         try:
-            return ParamMatrix.root_of_unity(
-                datum, self.ell, weight_denominator=wd,
-                offdiag=self.offdiag_table())
+            return ParamMatrix.root_of_unity(self.datum, self.ell,
+                                             offdiag=self.offdiag_table())
         except ValueError as ex:
             raise ConfigError(f"invalid root-of-unity parameters: {ex}")
 
@@ -341,17 +344,12 @@ def cmd_check_hopf(cfg):
         for w in words + extra:
             x = alg.element({w: alg.one})
             via_left = {}
-            for (a, b), c in alg.coproduct(x).items():
-                for (a1, a2) in alg.coproduct_word(a):
-                    key = (a1, a2, b)
-                    via_left[key] = via_left.get(key, alg.zero) + c
             via_right = {}
             for (a, b), c in alg.coproduct(x).items():
-                for (b1, b2) in alg.coproduct_word(b):
-                    key = (a, b1, b2)
-                    via_right[key] = via_right.get(key, alg.zero) + c
-            via_left = {k: v for k, v in via_left.items() if v}
-            via_right = {k: v for k, v in via_right.items() if v}
+                add_into(via_left, dict.fromkeys(
+                    ((a1, a2, b) for a1, a2 in alg.coproduct_word(a)), c))
+                add_into(via_right, dict.fromkeys(
+                    ((a, b1, b2) for b1, b2 in alg.coproduct_word(b)), c))
             if via_left != via_right or via_left != alg.coproduct_iter(x, 3):
                 return "fail", f"coassociativity broken on {alg.render_word(w)}"
         return "pass", f"{len(words) + len(extra)} words, length <= {L + 1}"
@@ -390,14 +388,12 @@ def cmd_check_hopf(cfg):
                 rhs = {}
                 for (a1, a2), c1 in alg.coproduct(x).items():
                     for (b1, b2), c2 in alg.coproduct(y).items():
-                        left = alg.word_product(a1, b1)
+                        c12 = c1 * c2
                         right = alg.word_product(a2, b2)
-                        for wl, cl in left.items():
-                            for wr, cr in right.items():
-                                key = (wl, wr)
-                                add = c1 * c2 * cl * cr
-                                rhs[key] = rhs.get(key, alg.zero) + add
-                rhs = {k: v for k, v in rhs.items() if v}
+                        for wl, cl in alg.word_product(a1, b1).items():
+                            add_into(rhs, {(wl, wr): cr
+                                           for wr, cr in right.items()},
+                                     c12 * cl)
                 if lhs != rhs:
                     return "fail", (
                         "coproduct not multiplicative on "
@@ -502,67 +498,76 @@ def cmd_pairing_gram(cfg):
     return records
 
 
+class ModuleVerdicts:
+    """The four verdicts on one highest-weight module, in report order
+    (`NAMES`).  `dimension` builds the module with `build` and compares its
+    dimension with the Weyl oracle; the other three judge the module it
+    built (`mod`), so they are asked only after a build that succeeded."""
+
+    NAMES = ("dimension", "nilpotency", "closure", "relations")
+
+    def __init__(self, build):
+        self.build = build
+        self.mod = None
+
+    def dimension(self):
+        try:
+            self.mod = mod = self.build()
+        except (ValueError, ClosureError) as ex:
+            return "fail", str(ex)
+        dims = ", ".join(str(d) for _, d in mod.weight_dims())
+        if not mod.datum.is_finite_type():
+            return "pass", (f"dimension {mod.dimension} (no finite-type "
+                            f"oracle); weight-space dims [{dims}]")
+        want = weyl_dim(mod.datum, mod.lam)
+        if mod.dimension != want:
+            return "fail", f"dimension {mod.dimension} != oracle {want}"
+        return "pass", (f"dimension {mod.dimension} matches oracle; "
+                        f"weight-space dims [{dims}]")
+
+    def nilpotency(self):
+        for i in range(self.mod.datum.n):
+            got = self.mod.nilpotency_threshold(i)
+            want = self.mod.setup.marks[i] + 1
+            if got != want:
+                return "fail", f"threshold {got} != {want} at index {i}"
+        return "pass", "all equal 1 + pairing with the coroot"
+
+    def closure(self):
+        if self.mod.closure_certified:
+            return "pass", "lowering closure re-verified"
+        return "fail", "closure certificate missing"
+
+    def relations(self):
+        report = self.mod.relation_matrix_report()
+        bad = sorted(_rid_label(rid) for rid, ok in report.items() if not ok)
+        if bad:
+            return "fail", "failing matrix identities: " + ", ".join(bad)
+        return "pass", f"{len(report)} relation matrix identities"
+
+
+def _build_module(cfg, lam, root_of_unity):
+    """The module of highest weight lam over order-ell parameters (refusing
+    weights outside the alcove) or over the configured parameters."""
+    if root_of_unity:
+        return root_of_unity_module(cfg.datum, lam, cfg.ell,
+                                    offdiag=cfg.offdiag_table(),
+                                    max_depth=cfg.max_depth)
+    return build_module(cfg.datum, cfg.make_params(), lam,
+                        max_depth=cfg.max_depth)
+
+
 def cmd_module(cfg):
     records = []
     base = cfg.base_inputs()
     for lam in cfg.module_weights():
         inputs = {**base, "weight": render_weight(lam)}
-        holder = {}
-
-        def build(lam=lam, holder=holder):
-            try:
-                if cfg.mode == "root-of-unity":
-                    mod = root_of_unity_module(
-                        cfg.datum, lam, cfg.ell, offdiag=cfg.offdiag_table(),
-                        max_depth=cfg.max_depth)
-                else:
-                    mod = build_module(cfg.datum, cfg.make_params(lam), lam,
-                                       max_depth=cfg.max_depth)
-            except (ValueError, ClosureError) as ex:
-                return "fail", str(ex)
-            holder["mod"] = mod
-            dims = ", ".join(str(d) for _, d in mod.weight_dims())
-            if cfg.datum.is_finite_type():
-                want = weyl_dim(cfg.datum, lam)
-                if mod.dimension != want:
-                    return "fail", (f"dimension {mod.dimension} != "
-                                    f"oracle {want}")
-                return "pass", (f"dimension {mod.dimension} matches oracle; "
-                                f"weight-space dims [{dims}]")
-            return "pass", (f"dimension {mod.dimension} (no finite-type "
-                            f"oracle); weight-space dims [{dims}]")
-
-        _run(records, "module/dimension", inputs, build)
-        mod = holder.get("mod")
-        if mod is None:
-            continue
-
-        def thresholds(mod=mod):
-            for i in range(cfg.datum.n):
-                got = mod.nilpotency_threshold(i)
-                want = mod.setup.marks[i] + 1
-                if got != want:
-                    return "fail", f"threshold {got} != {want} at index {i}"
-            return "pass", "all equal 1 + pairing with the coroot"
-
-        _run(records, "module/nilpotency", inputs, thresholds)
-
-        def closure(mod=mod):
-            if mod.closure_certified:
-                return "pass", "lowering closure re-verified"
-            return "fail", "closure certificate missing"
-
-        _run(records, "module/closure", inputs, closure)
-
-        def relations(mod=mod):
-            report = mod.relation_matrix_report()
-            bad = sorted(_rid_label(rid) for rid, ok in report.items()
-                         if not ok)
-            if bad:
-                return "fail", "failing matrix identities: " + ", ".join(bad)
-            return "pass", f"{len(report)} relation matrix identities"
-
-        _run(records, "module/relations", inputs, relations)
+        verdicts = ModuleVerdicts(
+            partial(_build_module, cfg, lam, cfg.mode == "root-of-unity"))
+        for name in verdicts.NAMES:
+            _run(records, f"module/{name}", inputs, getattr(verdicts, name))
+            if verdicts.mod is None:
+                break
     return records
 
 
@@ -618,9 +623,7 @@ def cmd_twist(cfg):
 def cmd_smallqg(cfg):
     records = []
     datum = cfg.datum
-    params = ParamMatrix.root_of_unity(datum, cfg.ell,
-                                       offdiag=cfg.offdiag_table())
-    real = Realization(datum, params)
+    real = Realization(datum, cfg.root_of_unity_params())
     alg = real.alg
     base = {"datum": cfg.datum_label, "ell": cfg.ell}
 
@@ -662,25 +665,14 @@ def cmd_smallqg(cfg):
                 return "fail", str(ex)
             if not inside:
                 return "pass", "outside the alcove: flagged, no module built"
-            try:
-                mod = root_of_unity_module(
-                    datum, lam, cfg.ell, offdiag=cfg.offdiag_table(),
-                    max_depth=cfg.max_depth)
-            except ClosureError as ex:
-                return "fail", str(ex)
-            want = weyl_dim(datum, lam)
-            if mod.dimension != want:
-                return "fail", f"dimension {mod.dimension} != oracle {want}"
-            report = mod.relation_matrix_report()
-            bad = sorted(_rid_label(rid) for rid, ok in report.items()
-                         if not ok)
-            if bad:
-                return "fail", "failing matrix identities: " + ", ".join(bad)
-            thr = [mod.nilpotency_threshold(i) for i in range(datum.n)]
-            if any(thr[i] != mod.setup.marks[i] + 1 for i in range(datum.n)):
-                return "fail", f"nilpotency thresholds {thr} off"
-            return "pass", (f"inside the alcove: dimension {mod.dimension}, "
-                            "relations and thresholds verified")
+            verdicts = ModuleVerdicts(partial(_build_module, cfg, lam, True))
+            for name in verdicts.NAMES:
+                status, detail = getattr(verdicts, name)()
+                if status != "pass":
+                    return status, detail
+            return "pass", (f"inside the alcove: dimension "
+                            f"{verdicts.mod.dimension}, relations and "
+                            "thresholds verified")
 
         _run(records, "smallqg/alcove-module", inputs, fn)
     return records

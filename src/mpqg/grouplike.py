@@ -75,9 +75,6 @@ class GradingGroup:
     def power(self, a, k):
         return self.reduce(tuple(x * k for x in a))
 
-    def exponent(self, a, tag):
-        return a[self.index[tag]]
-
     def order(self):
         """Group order, or None when infinite."""
         if any(m == 0 for m in self.moduli):

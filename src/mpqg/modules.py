@@ -268,58 +268,42 @@ class HighestWeightModule:
             return self.params.q_pairing(mu, simple_root(self.datum, i)) ** -1
         return self.params.q_pairing(simple_root(self.datum, i), mu)
 
+    def _atom_shift(self, atom):
+        if atom[0] == "e":
+            return simple_root(self.datum, atom[1])
+        if atom[0] == "f":
+            return -simple_root(self.datum, atom[1])
+        return LatticeVector((0,) * self.datum.n)
+
     def act_matrix(self, atom, mu):
-        """Exact matrix of the atom's adjoint action out of the weight-mu
-        space, columns indexed by the stored basis there."""
-        shift = {"e": 1, "f": -1}.get(atom[0], 0)
-        target = mu if not shift else (
-            mu + simple_root(self.datum, atom[1]) if shift > 0
-            else mu - simple_root(self.datum, atom[1]))
-        cols = []
-        for b in self.basis(mu):
-            img = self._act_atom(atom, b)
-            cc = self.coords_at(target, img)
-            if cc is None:
-                raise ValueError(
-                    f"adjoint image of a weight-{render_weight(mu)} vector "
-                    f"left the computed module")
-            cols.append(cc)
-        dim_t = len(self._spans.get(target, ()))
-        return Matrix([[cols[s][t] for s in range(len(cols))]
-                       for t in range(dim_t)])
-
-    def raising_matrices(self):
-        """(i, weight) -> matrix of the i-th raising action into the shifted
-        weight space; pairs whose image space is absent are verified to act
-        as zero and omitted."""
-        out = {}
-        for mu in self.weights:
-            for i in range(self.datum.n):
-                target = mu + simple_root(self.datum, i)
-                if target in self.weights:
-                    out[(i, mu)] = self.act_matrix(("e", i), mu)
-                else:
-                    for b in self.basis(mu):
-                        if not self.act_raise(i, b).is_zero:
-                            raise ValueError(
-                                "raising image outside the weight ladder "
-                                f"at {render_weight(mu)}")
-        return out
-
-    def lowering_matrices(self):
-        out = {}
-        for mu in self.weights:
-            for i in range(self.datum.n):
-                target = mu - simple_root(self.datum, i)
-                if target in self.weights:
-                    out[(i, mu)] = self.act_matrix(("f", i), mu)
-                else:
-                    for b in self.basis(mu):
-                        if not self.act_lower(i, b).is_zero:
-                            raise ValueError(
-                                "lowering image outside the weight ladder "
-                                f"at {render_weight(mu)}")
-        return out
+        """(target weight, matrix) of the atom's adjoint action out of the
+        weight-mu space, columns indexed by the stored basis there; a None
+        matrix encodes the verified zero map onto an absent weight space."""
+        key = (atom, mu)
+        got = self._mat_cache.get(key)
+        if got is not None:
+            return got
+        target = mu + self._atom_shift(atom)
+        images = [self._act_atom(atom, b) for b in self.basis(mu)]
+        if target in self._spans:
+            cols = []
+            for img in images:
+                cc = self.coords_at(target, img)
+                if cc is None:
+                    raise ValueError(
+                        f"adjoint image of a weight-{render_weight(mu)} "
+                        f"vector left the computed module")
+                cols.append(cc)
+            got = (target, Matrix([[col[t] for col in cols]
+                                   for t in range(len(self._spans[target]))]))
+        elif all(img.is_zero for img in images):
+            got = (target, None)
+        else:
+            raise ValueError(
+                "adjoint image outside the weight ladder at "
+                + render_weight(mu))
+        self._mat_cache[key] = got
+        return got
 
     # -- defining relations as matrix identities -------------------------------------
 
@@ -328,34 +312,6 @@ class HighestWeightModule:
         action must annihilate every module vector."""
         return [list(x.terms.items())
                 for x in relation_exprs(self.datum, self.params, rid)]
-
-    def _atom_shift(self, atom):
-        if atom[0] == "e":
-            return simple_root(self.datum, atom[1])
-        if atom[0] == "f":
-            return LatticeVector((0,) * self.datum.n) - \
-                simple_root(self.datum, atom[1])
-        return LatticeVector((0,) * self.datum.n)
-
-    def _atom_matrix(self, atom, mu):
-        """(target weight, matrix) of the atom's action out of the weight-mu
-        space; a None matrix encodes the verified zero map onto an absent
-        space."""
-        key = (atom, mu)
-        got = self._mat_cache.get(key)
-        if got is None:
-            target = mu + self._atom_shift(atom)
-            if target in self._spans:
-                got = (target, self.act_matrix(atom, mu))
-            else:
-                for b in self.basis(mu):
-                    if not self._act_atom(atom, b).is_zero:
-                        raise ValueError(
-                            "adjoint image outside the weight ladder at "
-                            + render_weight(mu))
-                got = (target, None)
-            self._mat_cache[key] = got
-        return got
 
     def _identity_matrix(self, d):
         return Matrix([[self.alg.one if r == c else self.alg.zero
@@ -372,7 +328,7 @@ class HighestWeightModule:
         cur = mu
         m = None
         for atom in reversed(mono):
-            cur, am = self._atom_matrix(atom, cur)
+            cur, am = self.act_matrix(atom, cur)
             if am is None:
                 return end, None
             m = am if m is None else am * m
@@ -403,22 +359,6 @@ class HighestWeightModule:
     def relation_matrix_report(self):
         return {rid: self.check_matrix_relation(rid)
                 for rid in self.real.relation_ids()}
-
-    # -- reporting ----------------------------------------------------------------
-
-    def report(self):
-        rows = [{"weight": render_weight(mu), "dim": d}
-                for mu, d in self.weight_dims()]
-        rel = {"%s(%d,%d)" % rid: self.check_matrix_relation(rid)
-               for rid in self.real.relation_ids()}
-        return {
-            "dimension": self.dimension,
-            "weight_spaces": rows,
-            "nilpotency": {str(i): self.nilpotency_threshold(i)
-                           for i in range(self.datum.n)},
-            "closure_certified": self.closure_certified,
-            "relations": rel,
-        }
 
 
 def build_module(datum, params, lam, *, max_depth=None):

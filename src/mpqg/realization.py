@@ -306,7 +306,6 @@ class IdealReducer:
     """Bounded reduction modulo the two-sided ideal (r_i : i)."""
 
     def __init__(self, realization):
-        self.real = realization
         self.alg = realization.alg
 
     def r_elt(self, i):

@@ -172,6 +172,21 @@ def test_module_outside_alcove_fails(tmp_path, capsys):
     assert "alcove" in records[0]["detail"]
 
 
+def test_module_records_a1_fundamental(tmp_path, capsys):
+    cfg = write_config(tmp_path, "preset = 'A1'\nweights = [['1/2']]\n")
+    code, records = run_json(capsys, ["module", "--config", cfg])
+    assert code == 0
+    assert [(r["check"], r["status"]) for r in records] == [
+        ("module/dimension", "pass"), ("module/nilpotency", "pass"),
+        ("module/closure", "pass"), ("module/relations", "pass")]
+    assert records[0]["detail"] == ("dimension 2 matches oracle; "
+                                    "weight-space dims [1, 1]")
+    # the weight pairs to 1 with the coroot: the threshold is 2
+    assert records[1]["detail"] == "all equal 1 + pairing with the coroot"
+    assert records[2]["detail"] == "lowering closure re-verified"
+    assert records[3]["detail"] == "5 relation matrix identities"
+
+
 def test_twist_both_targets(capsys):
     for target in ("one-parameter", "identity"):
         code, records = run_json(capsys, ["twist", "--qhat", target])
@@ -198,6 +213,29 @@ def test_smallqg_ladder(tmp_path, capsys):
     grading = next(r for r in records
                    if r["check"] == "smallqg/grading-group")
     assert "order 25" in grading["detail"]
+
+
+@pytest.mark.parametrize("attr,value,detail", [
+    ("nilpotency_threshold", lambda self, i: 0, "threshold 0 != 2 at index 0"),
+    ("_certify", lambda self: False, "closure certificate missing"),
+])
+def test_smallqg_reports_failing_module_verdict(tmp_path, monkeypatch, capsys,
+                                                attr, value, detail):
+    monkeypatch.setattr(HighestWeightModule, attr, value)
+    cfg = write_config(tmp_path, "preset = 'A1'\nweights = [['1/2']]\n")
+    code, records = run_json(capsys, ["smallqg", "--config", cfg])
+    assert code == 1
+    rec = records[-1]
+    assert rec["check"] == "smallqg/alcove-module"
+    assert (rec["status"], rec["detail"]) == ("fail", detail)
+    assert all(r["status"] == "pass" for r in records[:-1])
+
+
+@pytest.mark.parametrize("ell", ["3", "9"])
+def test_smallqg_order_the_datum_cannot_take_exits_2(tmp_path, capsys, ell):
+    cfg = write_config(tmp_path, "preset = 'G2'\n")
+    assert main(["smallqg", "--config", cfg, "--ell", ell]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_custom_cartan_matrix(tmp_path, capsys):

@@ -147,8 +147,8 @@ def test_product_tail_and_grading_multiplicative():
             assert alg.total_grading(w) == g.mul(gx, gy)
 
 
-def test_walk_matches_recursive_oracle():
-    alg = _a2()
+def test_walk_matches_recursive_oracle(preset_params):
+    alg = build_machinery(*preset_params)
     rng = random.Random(20260819)
     for _ in range(30):
         wx = _random_word(alg, rng, max_len=3)

@@ -206,11 +206,13 @@ def test_action_matrices_a1():
     mod = a1_module(1)
     lam = mod.lam
     a0 = simple_root(A1, 0)
-    lows = mod.lowering_matrices()
-    ups = mod.raising_matrices()
-    assert set(lows) == {(0, lam)} and set(ups) == {(0, lam - a0)}
-    mf, me = lows[(0, lam)], ups[(0, lam - a0)]
+    low, mf = mod.act_matrix(("f", 0), lam)
+    up, me = mod.act_matrix(("e", 0), lam - a0)
+    assert (low, up) == (lam - a0, lam)
     assert (mf.nrows, mf.ncols) == (1, 1) and (me.nrows, me.ncols) == (1, 1)
+    # out of the ladder's ends the actions are verified zero maps
+    assert mod.act_matrix(("e", 0), lam) == (lam + a0, None)
+    assert mod.act_matrix(("f", 0), lam - a0) == (lam - a0 - a0, None)
     # on the highest vector the commutator reduces to the torus part
     pm = mod.params
     c = pm.entry(0, 0) / (pm.entry(0, 0) - pm.one)
@@ -224,7 +226,8 @@ def test_torus_matrices_are_diagonal():
         d = len(mod.basis(mu))
         for i in range(2):
             for atom, primed in ((("w", i, 1), False), (("wp", i, 1), True)):
-                _, m = mod._atom_matrix(atom, mu)
+                target, m = mod.act_matrix(atom, mu)
+                assert target == mu
                 ev = mod.torus_eigenvalue(i, mu, primed=primed)
                 for r in range(d):
                     for s in range(d):
@@ -345,16 +348,6 @@ def test_undecided_reduction_is_an_error_not_a_wrong_answer():
     with pytest.raises(UndecidedReductionError, match="bound 2$") as err:
         tight.act_raise(0, deep)
     assert err.value.bound == 2
-
-
-def test_report_shape():
-    mod = a1_module(1)
-    rep = mod.report()
-    assert rep["dimension"] == 2
-    assert rep["nilpotency"] == {"0": 2}
-    assert rep["closure_certified"] is True
-    assert all(rep["relations"].values())
-    assert [row["dim"] for row in rep["weight_spaces"]] == [1, 1]
 
 
 def test_coords_at_rebuilds_basis_combinations():

@@ -75,13 +75,15 @@ def all_sequences(n, max_len):
     return out
 
 
-def test_two_recursion_directions_agree():
-    sp = make_pairing("A2")
-    mu = lat(1, -1)
-    nu = lat(0, 2)
-    for fseq in all_sequences(2, 3):
+def test_two_recursion_directions_agree(preset_params):
+    datum, pm = preset_params
+    sp = SkewPairing(Realization(datum, pm))
+    n = datum.n
+    mu = lat(*(1, -1)[:n])
+    nu = lat(*(0, 2)[:n])
+    for fseq in all_sequences(n, 3):
         y = sp.realize_lower(fseq, nu)
-        for eseq in all_sequences(2, 3):
+        for eseq in all_sequences(n, 3):
             x = sp.realize_upper(eseq, mu)
             forward = sp.pair_monomial(fseq, nu, x)
             transposed = sp.pair_transposed(y, eseq, mu)
