@@ -529,4 +529,4 @@ def _scalar_fract_power(s: Scalar, e: Fraction):
     if coeff != 1:
         raise ValueError(f"fractional power of a non-monic monomial: {s}")
     new = tuple((v, ex * e) for v, ex in mono)
-    return Scalar(LaurentPoly({new: Fraction(1)}))
+    return Scalar(LaurentPoly({new: 1}))

@@ -1,15 +1,19 @@
 """Exact coefficient arithmetic.
 
 Everything downstream runs over the fraction field of Laurent polynomials in
-finitely many commuting parameters with *rational* exponents and Fraction
+finitely many commuting parameters with *rational* exponents and rational
 coefficients.  No floats anywhere; zero-testing is literal.
 
 Conventions
 -----------
 * A variable is a tuple: ``('q',)`` for a single parameter, ``('q', i, j)``
   for the (i, j) entry of a parameter matrix (0-based indices).
-* A monomial is a sorted tuple of ``(var, Fraction exponent)`` pairs with all
-  exponents nonzero.  The empty tuple is the monomial 1.
+* Exponents and coefficients are ``int`` when integral and ``Fraction``
+  otherwise (an integral ``Fraction`` may also occur; it has the same ``==``,
+  ``hash`` and ``str`` as its ``int``).  Every division builds
+  ``Fraction(a, b)``, never ``a / b``, which is a float on two ints.
+* A monomial is a tuple of ``(var, exponent)`` pairs sorted by variable, with
+  all exponents nonzero.  The empty tuple is the monomial 1.
 * Monomials are ordered lexicographically along the fixed variable order,
   then by exponent; the leading term of a polynomial is the maximal one.
 * ``Scalar`` (the fraction field) is normalized by clearing the denominator's
@@ -24,16 +28,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
+def _rational(c):
+    """c as an int when integral, else as a Fraction; never a float or bool."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def _quotient(a, b):
+    """The exact rational a / b (int when integral)."""
+    return _rational(Fraction(a, b))
 
 
 def var_name(v) -> str:
@@ -50,14 +62,32 @@ def var_name(v) -> str:
 
 
 def mono_mul(a, b):
-    exps = dict(a)
-    for v, e in b:
-        e2 = exps.get(v, ZERO) + e
-        if e2:
-            exps[v] = e2
+    """Product of two monomials: a merge of the two variable-sorted tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
         else:
-            exps.pop(v, None)
-    return tuple(sorted(exps.items()))
+            e = ea + eb
+            if e:
+                out.append((va, e))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def mono_pow(a, k):
@@ -113,7 +143,7 @@ def mono_str(m) -> str:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: dict monomial -> nonzero Fraction."""
+    """Sparse Laurent polynomial: dict monomial -> nonzero rational."""
 
     __slots__ = ("terms",)
 
@@ -126,12 +156,12 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        c = _as_fraction(c)
+        c = _rational(c)
         return LaurentPoly({(): c} if c else {})
 
     @staticmethod
     def variable(v, exp=1):
-        e = Fraction(exp)
+        e = _rational(Fraction(exp))
         if not e:
             return LaurentPoly({(): ONE})
         return LaurentPoly({((v, e),): ONE})
@@ -183,15 +213,20 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _rational(other)
             if not c:
                 return LaurentPoly({})
             return LaurentPoly({m: c0 * c for m, c0 in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        st, ot = self.terms, other.terms
+        if len(st) == 1 and len(ot) == 1:
+            (m1, c1), = st.items()
+            (m2, c2), = ot.items()
+            return LaurentPoly({mono_mul(m1, m2): c1 * c2})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in st.items():
+            for m2, c2 in ot.items():
                 m = mono_mul(m1, m2)
                 c = out.get(m, ZERO) + c1 * c2
                 if c:
@@ -227,21 +262,20 @@ class LaurentPoly:
     def monomial_content(self):
         """Per-variable minimum exponent over all terms (0 if a variable is
         missing from some term)."""
-        if not self.terms:
-            return ()
-        vars_seen = set()
+        lo = {}
+        seen = {}
         for m in self.terms:
-            for v, _ in m:
-                vars_seen.add(v)
-        mins = {}
-        for v in vars_seen:
-            lo = None
-            for m in self.terms:
-                e = dict(m).get(v, ZERO)
-                lo = e if lo is None else min(lo, e)
-            if lo:
-                mins[v] = lo
-        return tuple(sorted(mins.items()))
+            for v, e in m:
+                if v in lo:
+                    if e < lo[v]:
+                        lo[v] = e
+                    seen[v] += 1
+                else:
+                    lo[v] = e
+                    seen[v] = 1
+        n = len(self.terms)
+        return tuple(sorted(
+            (v, e) for v, e in lo.items() if e < 0 or (e > 0 and seen[v] == n)))
 
     def shift(self, mono):
         """Multiply by a monomial."""
@@ -261,7 +295,8 @@ class LaurentPoly:
             return LaurentPoly({})
         if len(d.terms) == 1:
             (dm, dc), = d.terms.items()
-            return LaurentPoly({mono_div(m, dm): c / dc for m, c in self.terms.items()})
+            return LaurentPoly({mono_div(m, dm): _quotient(c, dc)
+                                for m, c in self.terms.items()})
         mc_n = self.monomial_content()
         mc_d = d.monomial_content()
         num = self.shift(mono_pow(mc_n, -1))
@@ -274,7 +309,7 @@ class LaurentPoly:
             t = mono_div(rm, dm)
             if any(e < 0 for _, e in t):
                 return None
-            c = rc / dc
+            c = _quotient(rc, dc)
             quo[t] = quo.get(t, ZERO) + c
             rem = rem - den * LaurentPoly({t: c})
         shift = mono_div(mc_n, mc_d)
@@ -411,6 +446,13 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
+        if self.den is _P_ONE and other.den is _P_ONE:
+            # polynomial times polynomial is already normal
+            out = object.__new__(Scalar)
+            num = self.num * other.num
+            out.num = num if num.terms else _P_ZERO
+            out.den = _P_ONE
+            return out
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -458,7 +500,7 @@ def _scalar_normalize(num, den):
     if num.is_zero:
         return _P_ZERO, _P_ONE
     if den.is_one:
-        return num, den
+        return num, _P_ONE
     # strip the denominator's unit part (monomial content and leading coeff)
     mc = den.monomial_content()
     if mc:
@@ -467,10 +509,11 @@ def _scalar_normalize(num, den):
         num = num.shift(inv)
     lm, lc = den.leading()
     if lc != 1:
-        den = den * (ONE / lc)
-        num = num * (ONE / lc)
+        scale = _quotient(1, lc)
+        den = den * scale
+        num = num * scale
     if den.is_one:
-        return num, den
+        return num, _P_ONE
     q = num.divide_exact(den)
     if q is not None:
         return q, _P_ONE
@@ -542,7 +585,10 @@ def _value_power(val, exp: Fraction):
     if isinstance(val, RootOfUnity):
         raise TypeError("RootOfUnity values are resolved by specialize()")
     if exp.denominator == 1:
-        return val ** exp.numerator
+        k = exp.numerator
+        if k < 0 and isinstance(val, int):
+            return Fraction(1, val ** -k)
+        return val ** k
     if val == 1:
         return val ** 0
     if isinstance(val, CyclotomicElement):
@@ -598,7 +644,7 @@ def specialize(s, assignment):
                     factor = _value_power(val, e)
                 term = factor if term is None else term * factor
             if term is None:
-                term = Fraction(1) if not roots else zeta(ambient, 0)
+                term = 1 if not roots else zeta(ambient, 0)
             piece = term * c
             total = piece if total is None else total + piece
         if total is None:
@@ -609,16 +655,16 @@ def specialize(s, assignment):
     if not den_val:
         raise SpecializationError(f"denominator vanishes under assignment: {s.den}")
     num_val = eval_poly(s.num)
-    if isinstance(num_val, Fraction) and isinstance(den_val, Fraction):
-        return num_val / den_val
+    if isinstance(num_val, (int, Fraction)) and isinstance(den_val, (int, Fraction)):
+        return Fraction(num_val, den_val)
     return num_val * _invert(den_val)
 
 
 def _invert(x):
     from .cyclotomic import CyclotomicElement
 
-    if isinstance(x, Fraction):
-        return 1 / x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1, x)
     if isinstance(x, CyclotomicElement):
         return x.inverse()
     raise TypeError(f"cannot invert {x!r}")
