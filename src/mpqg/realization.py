@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cotensor import (CotensorAlgebra, Echelon, Word, add_into,
                        build_machinery, word_key)
-from .scalars import q_binomial, q_factorial
+from .scalars import Scalar, q_binomial, q_factorial
 
 
 class FreeExpr:
@@ -408,6 +408,20 @@ class NormalFormTable:
     amortizing the elimination work that a one-shot solve would repeat.
     It is the one reducer: `IdealReducer.reduce` decides membership on a
     fresh table per weight component.
+
+    `ensure` first collects a whole closure of generators, then adds them
+    in descending order of each generator's least word under `_pivot_key`
+    (stable, so ties keep discovery order), as F4 sorts its batch before
+    eliminating: each new pivot then lies below the older ones, which
+    rarely need back-elimination.  The reduced echelon form of a span is
+    unique, so rows and normal forms do not depend on that order.  With
+    symbolic `Scalar` coefficients the generators keep discovery order:
+    `Scalar` has no gcd, so the order of row operations sets the size of
+    its coefficients (sorted, the symbolic A1 module at weight 3/2 runs
+    past 120 s instead of 0.2 s).  That exception goes once `Scalar` keeps
+    factored denominators (ROADMAP item 3).  `max_rows` caps the rows held
+    plus the generators collected, so a saturated closure adds nothing
+    past it.
     """
 
     def __init__(self, reducer: IdealReducer, *, bound=8, max_rows=4000):
@@ -423,13 +437,18 @@ class NormalFormTable:
     def _pivot_key(w):
         return (0 if has_contraction(w) else 1,) + word_key(w)
 
+    def _lead_key(self, gen):
+        return min(map(self._pivot_key, gen.terms), default=())
+
     def ensure(self, words):
         """Add the targeted replacement generators for every contraction
         letter reachable from the given words (finite closure: letter
         counts never grow under replacement)."""
         queue = sorted({w for w in words if w not in self._ensured},
                        key=word_key)
-        while queue:
+        room = self.max_rows - len(self.rows)
+        gens = []
+        while queue and not self.saturated:
             wrd = queue.pop()
             if wrd in self._ensured:
                 continue
@@ -439,14 +458,18 @@ class NormalFormTable:
             for p, letter in enumerate(wrd.letters):
                 if letter[0] != "X":
                     continue
-                if len(self.rows) >= self.max_rows:
+                if len(gens) >= room:
                     self.saturated = True
-                    return
+                    break
                 gen = self.reducer.targeted_generator(wrd, p)
                 queue.extend(sorted(
                     (w for w in gen.terms if w not in self._ensured),
                     key=word_key))
-                self.rows.add(gen)
+                gens.append(gen)
+        if not isinstance(self.alg.one, Scalar):
+            gens.sort(key=self._lead_key, reverse=True)
+        for gen in gens:
+            self.rows.add(gen)
 
     def normal_form(self, x):
         """(residual, ok): ok means the residual is contraction-free, hence

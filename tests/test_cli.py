@@ -137,6 +137,23 @@ def test_pairing_gram_heights(capsys):
     assert heights == {1, 2}
 
 
+AFFINE_A1 = "cartan = [[2, -2], [-2, 2]]\nsymmetrizers = [1, 1]\n"
+
+
+def test_pairing_gram_outside_finite_type_is_undecided(tmp_path, capsys):
+    cfg = write_config(tmp_path, AFFINE_A1 + "max_height = 2\n")
+    code, records = run_json(capsys, ["pairing", "gram", "--config", cfg])
+    assert code == 1
+    assert records[0]["check"] == "pairing/base-values"
+    gram = records[1:]
+    assert [r["check"] for r in gram] == [
+        "pairing/gram(0, 1)", "pairing/gram(1, 0)", "pairing/gram(0, 2)",
+        "pairing/gram(1, 1)", "pairing/gram(2, 0)"]
+    for rec in gram:
+        assert rec["status"] == "undecided"
+        assert "partition-count oracle" in rec["detail"]
+
+
 def test_module_default_weight(capsys):
     code, records = run_json(capsys, ["module"])
     assert code == 0
@@ -213,6 +230,24 @@ def test_smallqg_ladder(tmp_path, capsys):
     grading = next(r for r in records
                    if r["check"] == "smallqg/grading-group")
     assert "order 25" in grading["detail"]
+
+
+@pytest.mark.parametrize("text,status,detail", [
+    # out of scope: no alcove outside finite type
+    (AFFINE_A1 + "weights = [[1, 0]]\n", "undecided",
+     "alcove membership needs a finite-type datum"),
+    # a bad weight on a finite-type datum is still a failure
+    ("preset = 'A2'\nweights = [[-1, 0]]\n", "fail",
+     "weight is not dominant integral"),
+], ids=["affine", "non-dominant"])
+def test_smallqg_alcove_hypotheses(tmp_path, capsys, text, status, detail):
+    cfg = write_config(tmp_path, text)
+    code, records = run_json(capsys, ["smallqg", "--config", cfg])
+    assert code == 1
+    rec = records[-1]
+    assert rec["check"] == "smallqg/alcove-module"
+    assert (rec["status"], rec["detail"]) == (status, detail)
+    assert all(r["status"] == "pass" for r in records[:-1])
 
 
 @pytest.mark.parametrize("attr,value,detail", [

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, simple_root, weyl_dim
-from mpqg.cotensor import Word
+from mpqg.cotensor import Echelon, Word, word_key
 from mpqg.modules import (ClosureError, UndecidedReductionError, alcove_check,
                           build_module, coinvariant_project,
                           is_right_coinvariant, root_of_unity_module,
                           weight_denominator)
-from mpqg.realization import NormalFormTable, e, f
+from mpqg.realization import NormalFormTable, e, f, has_contraction
 
 
 A1 = CartanDatum.preset("A1")
@@ -365,3 +365,42 @@ def test_coords_at_rebuilds_basis_combinations():
         for c, b in zip(coords, basis):
             vec = vec + b.scale(c)
         assert mod.coords_at(mu, vec) == coords
+
+
+@pytest.mark.parametrize("mode", ["numeric", "root_of_unity"])
+def test_table_does_not_depend_on_insertion_order(mode):
+    # `ensure` adds a closure sorted by leading word; the reduced echelon
+    # form of a span is unique, so a shuffled order gives the same table
+    if mode == "numeric":
+        mod = a2_module((1, 1), "numeric")
+    else:
+        mod = root_of_unity_module(A2, LatticeVector((Fraction(1),
+                                                      Fraction(1))), 5)
+    alg = mod.alg
+    images = [mod.real.ad_left(mod.real._atom_elt((k, i)), vec)
+              for mu in mod.weights for vec in mod.basis(mu)
+              for k in "ef" for i in range(2)]
+    x = max(images, key=lambda y: len(y.terms))
+    table = NormalFormTable(mod.reducer, bound=mod.table.bound)
+    table.ensure([w for w in x.terms if has_contraction(w)])
+    assert len(table.rows) > 30 and not table.saturated
+    gens = [mod.reducer.targeted_generator(wrd, p)
+            for wrd in sorted(table._ensured, key=word_key)
+            if has_contraction(wrd) and len(wrd.letters) <= table.bound
+            for p, letter in enumerate(wrd.letters) if letter[0] == "X"]
+    random.Random(7).shuffle(gens)
+    shuffled = Echelon(NormalFormTable._pivot_key)
+    for gen in gens:
+        shuffled.add(gen)
+    assert list(shuffled.rows) != list(table.rows.rows)
+    assert set(shuffled.rows) == set(table.rows.rows)
+    for pw, row in table.rows.rows.items():
+        assert shuffled.rows[pw].terms == row.terms
+    twin = NormalFormTable(mod.reducer, bound=table.bound)
+    twin.rows, twin._ensured = shuffled, set(table._ensured)
+    assert table.normal_form(x)[1]
+    for y in [x] + [alg.element({w: alg.one})
+                    for w in sorted(table._ensured, key=word_key)]:
+        got, ok = table.normal_form(y)
+        want, twin_ok = twin.normal_form(y)
+        assert ok == twin_ok and got.terms == want.terms

@@ -201,6 +201,9 @@ def test_normal_form():
     assert status == "zero"
 
 
+A2_NUMERIC = {(0, 0): 5, (1, 1): 5, (0, 1): 3}
+
+
 def test_reduction_cost_is_bounded():
     real = make_real("A2")
     alg = real.alg
@@ -215,12 +218,25 @@ def test_reduction_cost_is_bounded():
     _, ok = short.normal_form(y)
     assert not ok and not short.saturated and len(short.rows) == 0
     assert reducer.reduce(y, bound=1) == ("undecided(1)", None)
+    # a cap inside a closure: the generators collected count against it,
+    # in discovery order (symbolic) and in sorted order (numeric)
+    for mode, kw in (("symbolic", {}), ("numeric", {"entries": A2_NUMERIC})):
+        real = make_real("A2", mode, **kw)
+        alg = real.alg
+        reducer = IdealReducer(real)
+        y = alg.element({Word((("E", 1), ("X", 0), ("F", 0)),
+                              alg.group.identity): alg.one})
+        full = NormalFormTable(reducer, bound=4)
+        assert full.normal_form(y)[1] and len(full.rows) == 6
+        capped = NormalFormTable(reducer, bound=4, max_rows=3)
+        _, ok = capped.normal_form(y)
+        assert not ok and capped.saturated and len(capped.rows) <= 3
 
 
 SOUNDNESS_CASES = [
     ("A1", "symbolic", {}),
     ("A2", "symbolic", {}),
-    ("A2", "numeric", {"entries": {(0, 0): 5, (1, 1): 5, (0, 1): 3}}),
+    ("A2", "numeric", {"entries": A2_NUMERIC}),
     ("A2", "root_of_unity", {"ell": 5}),
     ("B2", "symbolic", {}),
 ]
