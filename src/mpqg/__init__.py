@@ -12,10 +12,10 @@ modules with their root-of-unity variant.
 
 from .cartan import (CartanDatum, LatticeVector, ParamMatrix, coweight_pairing,
                      kostant_count, positive_roots, rho, simple_root, weyl_dim)
-from .cotensor import CotensorAlgebra, Word, build_machinery, word_key
+from .cotensor import CotensorAlgebra, Word, word_key
 from .grouplike import Bicharacter, Character, GradingGroup, build_bicharacter
 from .linalg import Matrix
-from .modules import (ClosureError, HighestWeightModule, ModuleSetup,
+from .modules import (ClosureError, HighestWeightModule,
                       UndecidedReductionError, alcove_check, build_module,
                       coinvariant_project, is_right_coinvariant,
                       root_of_unity_module, weight_denominator)
@@ -37,7 +37,6 @@ __all__ = [
     "IdealReducer",
     "LatticeVector",
     "Matrix",
-    "ModuleSetup",
     "NormalFormTable",
     "ParamMatrix",
     "Realization",
@@ -48,7 +47,6 @@ __all__ = [
     "Word",
     "alcove_check",
     "build_bicharacter",
-    "build_machinery",
     "build_module",
     "build_twist",
     "coinvariant_project",

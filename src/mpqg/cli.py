@@ -106,17 +106,11 @@ def parse_config_text(text, where="<config>"):
             raise ConfigError(f"{where}:{ln}: unknown key {key!r}")
         val = val.strip()
         try:
+            # a trailing comment is ignored by the literal parser itself
             parsed = ast.literal_eval(val)
         except (ValueError, SyntaxError):
-            if "#" in val:
-                try:
-                    parsed = ast.literal_eval(val.rsplit("#", 1)[0].strip())
-                except (ValueError, SyntaxError):
-                    raise ConfigError(
-                        f"{where}:{ln}: value for {key!r} is not a literal")
-            else:
-                raise ConfigError(
-                    f"{where}:{ln}: value for {key!r} is not a literal")
+            raise ConfigError(
+                f"{where}:{ln}: value for {key!r} is not a literal")
         want = _KEY_TYPES[key]
         if parsed is None and DEFAULTS[key] is not None:
             raise ConfigError(
@@ -169,8 +163,8 @@ class RunConfig:
             raise ConfigError("'numeric' entries require mode = 'numeric'")
         if mode == "numeric" and settings["numeric"] is None:
             raise ConfigError("mode 'numeric' needs a 'numeric' entry table")
-        for key in ("bound", "max_height", "word_length"):
-            if settings[key] < 1:
+        for key in ("bound", "max_height", "max_depth", "word_length"):
+            if settings[key] is not None and settings[key] < 1:
                 raise ConfigError(f"{key!r} must be a positive integer")
         ell = settings["ell"]
         if ell < 3 or ell % 2 == 0:
@@ -516,7 +510,10 @@ class ModuleVerdicts:
     def dimension(self):
         try:
             self.mod = mod = self.build()
-        except (ValueError, ClosureError) as ex:
+        except ClosureError as ex:
+            # the depth cutoff ended the search, not a wrong answer
+            return "undecided", str(ex)
+        except ValueError as ex:
             return "fail", str(ex)
         dims = ", ".join(str(d) for _, d in mod.weight_dims())
         if not mod.datum.is_finite_type():
@@ -531,7 +528,7 @@ class ModuleVerdicts:
     def nilpotency(self):
         for i in range(self.mod.datum.n):
             got = self.mod.nilpotency_threshold(i)
-            want = self.mod.setup.marks[i] + 1
+            want = self.mod.marks[i] + 1
             if got != want:
                 return "fail", f"threshold {got} != {want} at index {i}"
         return "pass", "all equal 1 + pairing with the coroot"

@@ -65,8 +65,10 @@ def add_into(d, terms, c=None):
     """d += c * terms in place on a plain word -> coefficient dict (c = None
     adds terms unscaled).  A word whose coefficient cancels is dropped, so d
     never stores a zero; surviving words keep their place and new ones are
-    appended.  `Echelon` row operations and the sums of scaled elements
-    (realization, antipode, adjoint actions, twists) go through it."""
+    appended.  Every sum of word maps goes through it (products,
+    coproducts, `Echelon` row operations, antipodes, adjoint actions,
+    twists, relation expressions) except the product walk's `emit` and the
+    cross-check oracles."""
     if c is not None and not c:
         return
     get = d.get
@@ -189,18 +191,17 @@ class CotensorAlgebra:
     """The full machinery for one Cartan datum / parameter matrix (and an
     optional highest-weight letter)."""
 
-    def __init__(self, datum, params, lam=None, *, finite=None):
+    def __init__(self, datum, params, lam=None):
         self.datum = datum
         self.params = params
         self.lam = lam
         self.one = params.one
         self.zero = params.zero
         n = datum.n
-        if finite is None:
-            # With a weight letter the torus characters involve ambient
-            # roots of unity that need not be compatible with the finite
-            # quotient, so the group stays free in that case.
-            finite = params.mode == "root_of_unity" and lam is None
+        # With a weight letter the torus characters involve ambient roots of
+        # unity that need not be compatible with the finite quotient, so the
+        # group stays free in that case.
+        finite = params.mode == "root_of_unity" and lam is None
         moduli = params.orders if finite else None
         self.group = standard_group(n, with_weight=lam is not None,
                                     moduli=moduli)
@@ -345,10 +346,8 @@ class CotensorAlgebra:
     def coproduct(self, x):
         out = {}
         for w, c in x.terms.items():
-            for pair in self.coproduct_word(w):
-                s = out.get(pair)
-                out[pair] = c if s is None else s + c
-        return {k: v for k, v in out.items() if v}
+            add_into(out, dict.fromkeys(self.coproduct_word(w), c))
+        return out
 
     def coproduct_iter(self, x, parts):
         """Iterated coproduct with ``parts`` tensor factors."""
@@ -358,15 +357,14 @@ class CotensorAlgebra:
         for w, c in x.terms.items():
             n = len(w.letters)
             sg = self.suffix_groups(w.letters, w.tail)
+            keys = []
             for cuts in combinations_with_replacement(range(n + 1), parts - 1):
                 bounds = (0,) + cuts + (n,)
-                key = tuple(
+                keys.append(tuple(
                     Word(w.letters[bounds[t]:bounds[t + 1]], sg[bounds[t + 1]])
-                    for t in range(parts)
-                )
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-        return {k: v for k, v in out.items() if v}
+                    for t in range(parts)))
+            add_into(out, dict.fromkeys(keys, c))
+        return out
 
     def counit(self, x):
         out = self.zero
@@ -438,11 +436,7 @@ class CotensorAlgebra:
         acc = {}
         for wx, cx in x.terms.items():
             for wy, cy in y.terms.items():
-                c0 = cx * cy
-                for w, c in self.word_product(wx, wy).items():
-                    s = acc.get(w)
-                    v = c0 * c
-                    acc[w] = v if s is None else s + v
+                add_into(acc, self.word_product(wx, wy), cx * cy)
         return Element(self, acc)
 
     def product_recursive(self, wx, wy):
@@ -548,8 +542,3 @@ class CotensorAlgebra:
             bits.append(f"({x.terms[w]})*[{self.render_word(w)}]")
         return " + ".join(bits)
 
-
-def build_machinery(datum, params, lam=None, *, finite=None) -> CotensorAlgebra:
-    """Assemble the machinery for a Cartan datum and parameter matrix; pass a
-    dominant-weight lattice vector to adjoin the highest-weight letter."""
-    return CotensorAlgebra(datum, params, lam, finite=finite)

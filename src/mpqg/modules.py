@@ -67,9 +67,14 @@ def weight_denominator(lam) -> int:
     return out
 
 
-class ModuleSetup:
-    """Validated input bundle for one module build: a dominant integral
-    weight, the parameter matrix, and the closure/reduction cutoffs."""
+class HighestWeightModule:
+    """Lowering closure of the highest-weight word, with exact weight-space
+    bases and adjoint actions of all presented generators.
+
+    The weight must be dominant integral (`marks` holds its pairings with
+    the simple coroots).  `max_depth` cuts the lowering closure off; left
+    out, it is derived from the weight, which needs a finite-type datum.
+    """
 
     def __init__(self, datum, params, lam, *, max_depth=None):
         self.datum = datum
@@ -93,24 +98,12 @@ class ModuleSetup:
             # highest weight.
             max_depth = 2 * int(sum(Fraction(c) for c in lam.coords)) + 2
         self.max_depth = int(max_depth)
-        # Module words hold at most max_depth lowering letters plus the
-        # weight letter; reduction never lengthens them.
-        self.bound = self.max_depth + 2
-
-
-class HighestWeightModule:
-    """Lowering closure of the highest-weight word, with exact weight-space
-    bases and adjoint actions of all presented generators."""
-
-    def __init__(self, setup: ModuleSetup):
-        self.setup = setup
-        self.datum = setup.datum
-        self.params = setup.params
-        self.lam = setup.lam
-        self.real = Realization(setup.datum, setup.params, setup.lam)
+        self.real = Realization(datum, params, lam)
         self.alg = self.real.alg
         self.reducer = IdealReducer(self.real)
-        self.table = NormalFormTable(self.reducer, bound=setup.bound)
+        # Module words hold at most max_depth lowering letters plus the
+        # weight letter; reduction never lengthens them.
+        self.table = NormalFormTable(self.reducer, bound=self.max_depth + 2)
         self.highest_vector = self.alg.V()
         self._mat_cache = {}
         self._spans = {}
@@ -127,7 +120,7 @@ class HighestWeightModule:
         frontier = [(self.lam, self.highest_vector)]
         depth = 0
         while frontier:
-            if depth >= self.setup.max_depth:
+            if depth >= self.max_depth:
                 pending = sorted({mu for mu, _ in frontier},
                                  key=self._weight_key)
                 raise ClosureError(depth, pending)
@@ -253,10 +246,10 @@ class HighestWeightModule:
         vec = self.highest_vector
         r = 0
         while not vec.is_zero:
-            if r > self.setup.marks[i] + 1:
+            if r > self.marks[i] + 1:
                 raise RuntimeError(
                     f"lowering chain at index {i} exceeded the expected "
-                    f"threshold {self.setup.marks[i] + 1}")
+                    f"threshold {self.marks[i] + 1}")
             vec = self.act_lower(i, vec)
             r += 1
         return r
@@ -362,8 +355,7 @@ class HighestWeightModule:
 
 
 def build_module(datum, params, lam, *, max_depth=None):
-    return HighestWeightModule(
-        ModuleSetup(datum, params, lam, max_depth=max_depth))
+    return HighestWeightModule(datum, params, lam, max_depth=max_depth)
 
 
 # -- coinvariants of the degree-zero projection ------------------------------------
@@ -387,12 +379,8 @@ def is_right_coinvariant(alg, x):
     """Whether (id (x) proj) applied to the coproduct returns x (x) 1."""
     got = {}
     for (wa, wb), c in alg.coproduct(x).items():
-        if wb.letters:
-            continue
-        key = (wa, wb.tail)
-        s = got.get(key)
-        got[key] = c if s is None else s + c
-    got = {k: v for k, v in got.items() if v}
+        if not wb.letters:
+            add_into(got, {(wa, wb.tail): c})
     want = {(w, alg.group.identity): c for w, c in x.terms.items()}
     return got == want
 

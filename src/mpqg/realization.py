@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cotensor import (CotensorAlgebra, Echelon, Word, add_into,
-                       build_machinery, word_key)
+from .cotensor import CotensorAlgebra, Echelon, Word, add_into, word_key
 from .scalars import Scalar, q_binomial, q_factorial
 
 
@@ -41,8 +40,7 @@ class FreeExpr:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+        add_into(out, other.terms)
         return FreeExpr(out)
 
     def __sub__(self, other):
@@ -56,9 +54,7 @@ class FreeExpr:
             return self.scale(other)
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
+            add_into(out, {m1 + m2: c2 for m2, c2 in other.terms.items()}, c1)
         return FreeExpr(out)
 
     def __rmul__(self, other):
@@ -94,12 +90,10 @@ class Realization:
     """The machinery together with the generator images and relation
     checks."""
 
-    def __init__(self, datum, params, lam=None, *, finite=None):
+    def __init__(self, datum, params, lam=None):
         self.datum = datum
         self.params = params
-        self.alg: CotensorAlgebra = build_machinery(datum, params, lam,
-                                                    finite=finite)
-        self._psi_cache = {}
+        self.alg = CotensorAlgebra(datum, params, lam)
 
     # -- generator images -------------------------------------------------------
 
@@ -130,18 +124,18 @@ class Realization:
             return self.kp_elt(a[1], a[2])
         raise ValueError(f"unknown atom {a}")
 
-    def psi(self, expr: FreeExpr):
-        """Algebra map from presented generators into the machinery."""
+    def psi(self, expr: FreeExpr, product=None):
+        """Algebra map from presented generators into the machinery: each
+        monomial is the fold of `product` (default the machinery's own;
+        the twist passes its twisted product) over the generator images."""
         alg = self.alg
+        product = alg.product if product is None else product
         out = {}
         for mono, coeff in expr.terms.items():
-            got = self._psi_cache.get(mono)
-            if got is None:
-                got = alg.unit()
-                for a in mono:
-                    got = alg.product(got, self._atom_elt(a))
-                self._psi_cache[mono] = got
-            add_into(out, got.terms, alg.coerce(coeff))
+            acc = alg.unit()
+            for a in mono:
+                acc = product(acc, self._atom_elt(a))
+            add_into(out, acc.terms, alg.coerce(coeff))
         return alg.element(out)
 
     # -- adjoint action ----------------------------------------------------------

@@ -55,18 +55,6 @@ class TwistContext:
                 add_into(out, alg.word_product(wx, wy), cx * cy * s)
         return alg.element(out)
 
-    def psi_twisted(self, expr):
-        """Evaluate a generator expression folding with the twisted
-        product (images of the single generators are untouched)."""
-        alg = self.alg
-        out = {}
-        for mono, coeff in expr.terms.items():
-            acc = alg.unit()
-            for a in mono:
-                acc = self.twisted_product(acc, self.real._atom_elt(a))
-            add_into(out, acc.terms, alg.coerce(coeff))
-        return alg.element(out)
-
     def twisted_action(self, h, tag):
         """Scalar by which the group element h acts on the given letter in
         the twisted module structure."""
@@ -152,7 +140,7 @@ class TwistContext:
     def twisted_residuals(self, rid):
         """Left minus right sides of the defining relations with target
         constants, products taken twisted."""
-        return [self.psi_twisted(x)
+        return [self.real.psi(x, self.twisted_product)
                 for x in relation_exprs(self.datum, self.qhat, rid)]
 
 

@@ -199,7 +199,7 @@ def test_criterion_5_highest_weight_modules():
         assert mod.dimension == want_dim, (datum.name, lam, mod.dimension)
         assert mod.closure_certified
         for i in range(datum.n):
-            want_thr = 1 + mod.setup.marks[i]
+            want_thr = 1 + mod.marks[i]
             assert mod.nilpotency_threshold(i) == want_thr, (datum.name, i)
         report = mod.relation_matrix_report()
         bad = [rid for rid, ok in report.items() if not ok]

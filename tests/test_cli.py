@@ -67,6 +67,7 @@ def test_parse_config_rejections(line, fragment):
     "ell = 4\n",                                 # even order
     "ell = 1\n",
     "bound = 0\n",
+    "max_depth = 0\n",
     "max_height = None\n",                       # its default is not None
     "ell = None\n",
     "format = 'xml'\n",
@@ -189,6 +190,25 @@ def test_module_outside_alcove_fails(tmp_path, capsys):
     assert "alcove" in records[0]["detail"]
 
 
+@pytest.mark.parametrize("command,check", [
+    ("module", "module/dimension"),
+    ("smallqg", "smallqg/alcove-module"),
+])
+def test_depth_cutoff_is_undecided(tmp_path, capsys, command, check):
+    # the closure of weight 3/2 needs four lowering steps: cut off at two,
+    # the search is exhausted, which is not a wrong answer
+    cfg = write_config(tmp_path, (
+        "preset = 'A1'\nweights = [['3/2']]\nmax_depth = 2\n"))
+    code, records = run_json(capsys, [command, "--config", cfg])
+    assert code == 1
+    rec = records[-1]
+    assert rec["check"] == check
+    assert rec["status"] == "undecided"
+    assert rec["detail"] == ("lowering closure still open at depth 2; "
+                             "pending weight spaces: (-1/2)")
+    assert all(r["status"] == "pass" for r in records[:-1])
+
+
 def test_module_records_a1_fundamental(tmp_path, capsys):
     cfg = write_config(tmp_path, "preset = 'A1'\nweights = [['1/2']]\n")
     code, records = run_json(capsys, ["module", "--config", cfg])
@@ -291,7 +311,7 @@ def test_singular_cartan_needs_explicit_weights(tmp_path, capsys):
 
 def test_undecided_reduction_is_an_undecided_record(monkeypatch, capsys):
     def exhausted(self, i):
-        raise UndecidedReductionError("undecided", self.setup.bound)
+        raise UndecidedReductionError("undecided", self.table.bound)
 
     monkeypatch.setattr(HighestWeightModule, "nilpotency_threshold", exhausted)
     code, records = run_json(capsys, ["module", "--timings"])

@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix, weight_from_marks
-from mpqg.cotensor import Echelon, Word, add_into, build_machinery, word_key
+from mpqg.cotensor import (CotensorAlgebra, Echelon, Word, add_into,
+                           word_key)
 from mpqg.linalg import Matrix
 from mpqg.scalars import q_factorial, q_int
 
 
 def _a2():
     datum = CartanDatum.preset("A2")
-    return build_machinery(datum, ParamMatrix.symbolic(datum))
+    return CotensorAlgebra(datum, ParamMatrix.symbolic(datum))
 
 
 def q(alg, i, j):
@@ -148,7 +149,7 @@ def test_product_tail_and_grading_multiplicative():
 
 
 def test_walk_matches_recursive_oracle(preset_params):
-    alg = build_machinery(*preset_params)
+    alg = CotensorAlgebra(*preset_params)
     rng = random.Random(20260819)
     for _ in range(30):
         wx = _random_word(alg, rng, max_len=3)
@@ -300,7 +301,7 @@ def test_weight_grading_additive_under_product():
 def test_highest_weight_letter_machinery():
     datum = CartanDatum.preset("A2")
     lam = weight_from_marks(datum, (1, 0))
-    alg = build_machinery(datum, ParamMatrix.symbolic(datum), lam)
+    alg = CotensorAlgebra(datum, ParamMatrix.symbolic(datum), lam)
     v = alg.V()
     g = alg.group
     # group-like coproduct tail and the torus eigenvalue
@@ -344,9 +345,9 @@ def _coefficient_algebras():
     Scalar and cyclotomic (the last over a finite grading group)."""
     a1 = CartanDatum.preset("A1")
     return [
-        build_machinery(a1, ParamMatrix.numeric(a1, {(0, 0): Fraction(5)})),
-        build_machinery(a1, ParamMatrix.symbolic(a1)),
-        build_machinery(a1, ParamMatrix.root_of_unity(a1, 5)),
+        CotensorAlgebra(a1, ParamMatrix.numeric(a1, {(0, 0): Fraction(5)})),
+        CotensorAlgebra(a1, ParamMatrix.symbolic(a1)),
+        CotensorAlgebra(a1, ParamMatrix.root_of_unity(a1, 5)),
     ]
 
 

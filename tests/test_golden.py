@@ -1,0 +1,96 @@
+"""Golden CLI reports: the JSON records (without --timings) and the exit
+status of a fixed set of runs must match the files under tests/golden/.
+
+Each golden file holds the run's stdout followed by one line
+``{"exit_status": N}``.  A refactor that keeps behaviour must leave every
+file unchanged; a change that is meant to alter a report regenerates the
+files and shows the difference in its diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+writes every file again from the current source tree (pass run names to
+regenerate only those).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from mpqg.cli import main
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+CONFIGS = HERE.parent / "configs"
+
+A1_LADDER = "preset = 'A1'\nweights = [['1/2'], ['1'], ['3/2']]\n"
+A1_HOPF = "preset = 'A1'\nword_length = 3\n"
+G2 = "preset = 'G2'\n"
+
+# name -> (argv, config): config is None (defaults), the name of a file in
+# configs/, or the text of an inline configuration.
+RUNS = {
+    "a2-check-relations": (["check", "relations"], None),
+    "a2-check-closed-forms": (["check", "closed-forms"], None),
+    "a2-twist": (["twist"], None),
+    "a2-twist-identity": (["twist", "--qhat", "identity"], None),
+    "a2-smallqg": (["smallqg"], None),
+    "a2-pairing-gram": (["pairing", "gram"], None),
+    "a2-module": (["module"], None),
+    "cfg-a2-symbolic-check-relations": (["check", "relations"],
+                                        "a2-symbolic.cfg"),
+    "cfg-a2-symbolic-module": (["module"], "a2-symbolic.cfg"),
+    "cfg-a2-symbolic-twist": (["twist"], "a2-symbolic.cfg"),
+    "cfg-a1-root-of-unity-smallqg": (["smallqg"], "a1-root-of-unity.cfg"),
+    "cfg-b2-numeric-module": (["module"], "b2-numeric.cfg"),
+    "a1-ladder-module": (["module"], A1_LADDER),
+    "a1-check-hopf": (["check", "hopf"], A1_HOPF),
+    "g2-check-relations": (["check", "relations"], G2),
+    "g2-pairing-gram": (["pairing", "gram"], G2),
+    "g2-smallqg": (["smallqg"], G2),
+}
+
+
+def argv_for(name, workdir):
+    argv, config = RUNS[name]
+    if config is None:
+        return list(argv)
+    if config.endswith(".cfg"):
+        path = CONFIGS / config
+    else:
+        path = Path(workdir) / f"{name}.cfg"
+        path.write_text(config, encoding="utf-8")
+    return list(argv) + ["--config", str(path)]
+
+
+def report(code, out):
+    return out + '{"exit_status": %d}\n' % code
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_report(name, tmp_path, capsys):
+    code = main(argv_for(name, tmp_path))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    want = (GOLDEN / f"{name}.jsonl").read_text(encoding="utf-8")
+    assert report(code, captured.out) == want
+
+
+def regenerate(names):
+    import io
+    import tempfile
+    from contextlib import redirect_stdout
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(argv_for(name, workdir))
+            (GOLDEN / f"{name}.jsonl").write_text(report(code, buf.getvalue()),
+                                                  encoding="utf-8")
+            print(f"wrote {name}.jsonl (exit {code})")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:] or sorted(RUNS))
