@@ -26,6 +26,11 @@ CONFIGS = HERE.parent / "configs"
 A1_LADDER = "preset = 'A1'\nweights = [['1/2'], ['1'], ['3/2']]\n"
 A1_HOPF = "preset = 'A1'\nword_length = 3\n"
 G2 = "preset = 'G2'\n"
+B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
+                   "numeric = {(0, 0): 9, (1, 1): 3, (0, 1): 5}\n"
+                   "max_height = 4\n")
+B2_ROOT_OF_UNITY_GRAM = ("preset = 'B2'\nmode = 'root-of-unity'\nell = 5\n"
+                         "max_height = 4\n")
 
 # name -> (argv, config): config is None (defaults), the name of a file in
 # configs/, or the text of an inline configuration.
@@ -48,6 +53,9 @@ RUNS = {
     "g2-check-relations": (["check", "relations"], G2),
     "g2-pairing-gram": (["pairing", "gram"], G2),
     "g2-smallqg": (["smallqg"], G2),
+    "b2-numeric-pairing-gram": (["pairing", "gram"], B2_NUMERIC_GRAM),
+    "b2-root-of-unity-pairing-gram": (["pairing", "gram"],
+                                      B2_ROOT_OF_UNITY_GRAM),
 }
 
 
