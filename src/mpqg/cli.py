@@ -32,7 +32,8 @@ from functools import partial
 
 from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
                      fundamental_weight, kostant_count, weyl_dim)
-from .cotensor import Word, add_into
+from .cotensor import Word
+from .linalg import add_into
 from .modules import (ClosureError, UndecidedReductionError, alcove_check,
                       build_module, render_weight, root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from .cartan import simple_root
 from .grouplike import Character, GradingGroup, standard_group
+from .linalg import add_into
 
 
 class Word(NamedTuple):
@@ -59,31 +60,6 @@ def render_letter(tag) -> str:
     if kind == "V":
         return "V"
     return repr(tag)
-
-
-def add_into(d, terms, c=None):
-    """d += c * terms in place on a plain word -> coefficient dict (c = None
-    adds terms unscaled).  A word whose coefficient cancels is dropped, so d
-    never stores a zero; surviving words keep their place and new ones are
-    appended.  Every sum of word maps goes through it (products,
-    coproducts, `Echelon` row operations, antipodes, adjoint actions,
-    twists, relation expressions) except the product walk's `emit` and the
-    cross-check oracles."""
-    if c is not None and not c:
-        return
-    get = d.get
-    for w, v in terms.items():
-        if c is not None:
-            v = c * v
-        s = get(w)
-        if s is None:
-            d[w] = v
-        else:
-            s = s + v
-            if s:
-                d[w] = s
-            else:
-                del d[w]
 
 
 class Element:
@@ -136,55 +112,6 @@ class Element:
 
     def __repr__(self):
         return self.alg.render(self)
-
-
-class Echelon:
-    """Incremental Gauss--Jordan form of a span of elements.
-
-    ``rows`` maps each pivot word to a row with coefficient one there, in
-    insertion order.  The rows are mutually reduced (no row has support on
-    another row's pivot), so one pass of `reduce` gives the canonical
-    remainder.  A new row pivots on its least word under ``key``.  Row
-    operations run in place on plain dicts through `add_into`; a stored row
-    is never mutated but replaced, so rows handed out earlier (module bases)
-    keep their value.
-    """
-
-    def __init__(self, key=word_key):
-        self.key = key
-        self.rows = {}
-
-    def __len__(self):
-        return len(self.rows)
-
-    def _remainder(self, x):
-        d = dict(x.terms)
-        for pw, row in self.rows.items():
-            c = d.get(pw)
-            if c is not None:
-                add_into(d, row.terms, -c)
-        return d
-
-    def reduce(self, x):
-        return Element(x.alg, self._remainder(x))
-
-    def add(self, x):
-        """True when x was independent of the span (it is now inside)."""
-        d = self._remainder(x)
-        if not d:
-            return False
-        pw = min(d, key=self.key)
-        inv = x.alg.one / d[pw]
-        for w, v in d.items():
-            d[w] = inv * v
-        for qw, row in self.rows.items():
-            c = row.terms.get(pw)
-            if c is not None:
-                new = dict(row.terms)
-                add_into(new, d, -c)
-                self.rows[qw] = Element(x.alg, new)
-        self.rows[pw] = Element(x.alg, d)
-        return True
 
 
 class CotensorAlgebra:
@@ -485,9 +412,6 @@ class CotensorAlgebra:
 
     def act_left(self, gelt, x):
         return self.product(self.group_like(gelt), x)
-
-    def act_right(self, x, gelt):
-        return self.product(x, self.group_like(gelt))
 
     # -- antipode -----------------------------------------------------------------
 

@@ -1,48 +1,102 @@
-"""Exact Gaussian elimination over any field-like coefficient type.
+"""Exact linear algebra over any field-like coefficient type.
 
-Entries must support +, -, *, /, unary -, ** and truthiness (nonzero test).
-Works for Fraction, Scalar and CyclotomicElement alike.  Pivots are chosen
-by smallest term count to keep symbolic entries from ballooning.
+Entries must support +, -, *, /, unary - and truthiness (nonzero test).
+Works for Fraction, Scalar and CyclotomicElement alike.  Vectors are plain
+dicts key -> coefficient that never store a zero; `add_into` sums them in
+place and `Echelon` is the one elimination.  `Matrix` is a dense container
+(module action matrices and their products) whose `det`, `solve` and
+`kernel_basis` run on an `Echelon` keyed by column index.
 """
 
 from __future__ import annotations
 
 
-def _complexity(x):
-    num = getattr(x, "num", None)
-    if num is not None:  # Scalar
-        return len(num.terms) + len(x.den.terms)
-    coeffs = getattr(x, "coeffs", None)
-    if coeffs is not None:  # CyclotomicElement
-        return sum(1 for c in coeffs if c)
-    return 1
+def add_into(d, terms, c=None):
+    """d += c * terms in place on a plain key -> coefficient dict (c = None
+    adds terms unscaled).  A key whose coefficient cancels is dropped, so d
+    never stores a zero; surviving keys keep their place and new ones are
+    appended.  Every sum of word maps goes through it (products,
+    coproducts, `Echelon` row operations, antipodes, adjoint actions,
+    twists, relation expressions) except the product walk's `emit` and the
+    cross-check oracles."""
+    if c is not None and not c:
+        return
+    get = d.get
+    for w, v in terms.items():
+        if c is not None:
+            v = c * v
+        s = get(w)
+        if s is None:
+            d[w] = v
+        else:
+            s = s + v
+            if s:
+                d[w] = s
+            else:
+                del d[w]
 
 
-def _rref(rows, width):
-    """Row-reduce in place; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        best = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                if best is None or _complexity(rows[i][col]) < _complexity(rows[best][col]):
-                    best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][col]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+class Echelon:
+    """Incremental Gauss--Jordan form of a span of dict vectors.
+
+    ``rows`` maps each pivot key to a row with coefficient ``one`` there, in
+    insertion order.  The rows are mutually reduced (no row has support on
+    another row's pivot), so one pass of `reduce` gives the canonical
+    remainder.  A new row pivots on its least key under ``key`` (None: the
+    keys' own order, as for column indices).  Row operations run in place
+    on plain dicts through `add_into`; a stored row is never mutated but
+    replaced, so rows handed out earlier keep their value.
+    """
+
+    def __init__(self, one, key=None):
+        self.one = one
+        self.key = key
+        self.rows = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """The remainder of vec modulo the span, as a new dict."""
+        d = dict(vec)
+        for pw, row in self.rows.items():
+            c = d.get(pw)
+            if c is not None:
+                add_into(d, row, -c)
+        return d
+
+    def add(self, vec):
+        """(pivot key, pivot value before normalisation) when vec was
+        independent of the span (it is now inside), else None."""
+        d = self.reduce(vec)
+        if not d:
+            return None
+        pw = min(d, key=self.key)
+        piv = d[pw]
+        inv = self.one / piv
+        for w, v in d.items():
+            d[w] = inv * v
+        for qw, row in self.rows.items():
+            c = row.get(pw)
+            if c is not None:
+                new = dict(row)
+                add_into(new, d, -c)
+                self.rows[qw] = new
+        self.rows[pw] = d
+        return pw, piv
+
+
+def _echelon(rows):
+    """Eliminate dense rows in one `Echelon` keyed by column index; returns
+    (echelon, what `add` gave for each row, one, zero), with one and zero
+    read off the first nonzero entry (1 and 0 when there is none)."""
+    one = next((x / x for row in rows for x in row if x), None)
+    ech = Echelon(one)
+    pivots = [ech.add({c: x for c, x in enumerate(row) if x})
+              for row in rows]
+    if one is None:
+        return ech, pivots, 1, 0
+    return ech, pivots, one, one - one
 
 
 class Matrix:
@@ -57,84 +111,54 @@ class Matrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged matrix")
 
-    def rank(self):
-        if not self.rows:
-            return 0
-        _, piv = _rref(self.rows, self.ncols)
-        return len(piv)
-
     def det(self):
+        """The product of the pivot values, signed by the permutation that
+        takes each row to its pivot column.  Each row enters the echelon
+        minus a combination of the rows before it, which leaves the
+        determinant unchanged, and has no support on their pivot columns,
+        so the reduced rows are triangular up to that column order."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if not self.rows:
             raise ValueError("determinant of an empty matrix")
-        rows = [list(r) for r in self.rows]
-        sign = 1
+        _ech, pivots, _one, zero = _echelon(self.rows)
+        if not all(pivots):
+            return zero
         det = None
-        for col in range(n):
-            best = None
-            for i in range(col, n):
-                if rows[i][col]:
-                    if best is None or _complexity(rows[i][col]) < _complexity(rows[best][col]):
-                        best = i
-            if best is None:
-                x = rows[0][0]
-                return x - x
-            if best != col:
-                rows[col], rows[best] = rows[best], rows[col]
-                sign = -sign
-            piv = rows[col][col]
+        for _col, piv in pivots:
             det = piv if det is None else det * piv
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    f = rows[i][col] / piv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-        if sign < 0:
-            det = -det
-        return det
+        cols = [col for col, _piv in pivots]
+        swaps = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+        return -det if swaps % 2 else det
 
     def solve(self, rhs):
-        """One exact solution of self * x = rhs, or None if inconsistent.
-        Free variables are set to zero."""
-        aug = [list(r) + [b] for r, b in zip(self.rows, rhs)]
-        red, piv = _rref(aug, self.ncols)
-        # inconsistent iff a pivot appears in the rhs column
-        for row in red:
-            if not any(row[:-1]) and row[-1]:
-                return None
-        x = [None] * self.ncols
-        zero = 0
-        for r, c in zip(red, piv):
-            x[c] = r[-1]
-            zero = r[-1] - r[-1]
-        for i in range(self.ncols):
-            if x[i] is None:
-                x[i] = zero
+        """One exact solution of self * x = rhs, or None if inconsistent
+        (a pivot in the right-hand-side column).  Free variables are set to
+        zero."""
+        n = self.ncols
+        ech, _pivots, _one, zero = _echelon(
+            [r + [b] for r, b in zip(self.rows, rhs)])
+        if n in ech.rows:
+            return None
+        x = [zero] * n
+        for c, row in ech.rows.items():
+            x[c] = row.get(n, zero)
         return x
 
     def kernel_basis(self):
         """Basis of the right kernel, each vector verified by substitution."""
         if self.ncols == 0:
             return []
-        red, piv = _rref(self.rows, self.ncols)
-        one, zero = 1, 0
-        for r in red:
-            for v in r:
-                if v:
-                    one, zero = v / v, v - v
-                    break
-            else:
-                continue
-            break
-        free = [c for c in range(self.ncols) if c not in piv]
+        ech, _pivots, one, zero = _echelon(self.rows)
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in ech.rows:
+                continue
             vec = [zero] * self.ncols
             vec[fc] = one
-            for r, pc in zip(red, piv):
-                if r[fc]:
-                    vec[pc] = -r[fc]
+            for pc, row in ech.rows.items():
+                if fc in row:
+                    vec[pc] = -row[fc]
             basis.append(vec)
         for vec in basis:
             for row in self.rows:
@@ -146,16 +170,6 @@ class Matrix:
                     raise ArithmeticError(
                         "kernel vector failed back-substitution")
         return basis
-
-    def mul_vec(self, vec):
-        out = []
-        for row in self.rows:
-            acc = None
-            for a, b in zip(row, vec):
-                t = a * b
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return out
 
     def __mul__(self, other):
         if self.ncols != other.nrows:

@@ -20,8 +20,8 @@ from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
-from .cotensor import Echelon, add_into
-from .linalg import Matrix
+from .cotensor import word_key
+from .linalg import Echelon, Matrix, add_into
 from .realization import (IdealReducer, NormalFormTable, Realization,
                           has_contraction, relation_exprs)
 from .scalars import q_factorial
@@ -116,7 +116,8 @@ class HighestWeightModule:
 
     def _build(self):
         datum = self.datum
-        self._spans.setdefault(self.lam, Echelon()).add(self.highest_vector)
+        self._spans[self.lam] = Echelon(self.alg.one, word_key)
+        self._spans[self.lam].add(self.highest_vector.terms)
         frontier = [(self.lam, self.highest_vector)]
         depth = 0
         while frontier:
@@ -131,8 +132,9 @@ class HighestWeightModule:
                     if img.is_zero:
                         continue
                     nu = mu - simple_root(datum, i)
-                    spn = self._spans.setdefault(nu, Echelon())
-                    if spn.add(img):
+                    spn = self._spans.setdefault(
+                        nu, Echelon(self.alg.one, word_key))
+                    if spn.add(img.terms):
                         nxt.append((nu, img))
             frontier = nxt
             depth += 1
@@ -151,7 +153,7 @@ class HighestWeightModule:
                     if img.is_zero:
                         continue
                     spn = self._spans.get(mu - simple_root(self.datum, i))
-                    if spn is None or not spn.reduce(img).is_zero:
+                    if spn is None or spn.reduce(img.terms):
                         return False
         return True
 
@@ -159,10 +161,10 @@ class HighestWeightModule:
 
     def basis(self, mu):
         spn = self._spans.get(mu)
-        return list(spn.rows.values()) if spn else []
+        return [self.alg.element(r) for r in spn.rows.values()] if spn else []
 
     def weight_dims(self):
-        return [(mu, len(self.basis(mu))) for mu in self.weights]
+        return [(mu, len(self._spans[mu])) for mu in self.weights]
 
     @property
     def dimension(self):
@@ -173,17 +175,11 @@ class HighestWeightModule:
         spn = self._spans.get(mu)
         if spn is None:
             return [] if vec.is_zero else None
-        if not spn.reduce(vec).is_zero:
+        if spn.reduce(vec.terms):
             return None
         # the rows are mutually reduced: each coordinate is read off at its
         # pivot word
         return [vec.terms.get(pw, self.alg.zero) for pw in spn.rows]
-
-    def vector_weight(self, vec):
-        wts = {self.alg.weight_of_word(w) for w in vec.terms}
-        if len(wts) != 1:
-            raise ValueError("vector is not weight-homogeneous")
-        return LatticeVector(wts.pop())
 
     # -- adjoint actions -----------------------------------------------------------
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from .cartan import LatticeVector
-from .cotensor import Echelon, word_key
-from .linalg import Matrix
+from .cotensor import word_key
+from .linalg import Echelon, Matrix
 from .realization import Realization
 
 
@@ -205,7 +205,7 @@ class SkewPairing:
         seqs = self.monomials_of_weight(beta)
         chosen = []
         elements = []
-        span = Echelon()
+        span = Echelon(self.alg.one, word_key)
         for seq in seqs:
             if sign == "+":
                 elt = self.realize_upper(seq, zero_nu)
@@ -213,7 +213,7 @@ class SkewPairing:
                 elt = self.realize_lower(seq, zero_nu)
             else:
                 raise ValueError("sign must be '+' or '-'")
-            if span.add(elt):
+            if span.add(elt.terms):
                 chosen.append(seq)
                 elements.append(elt)
         return chosen, elements

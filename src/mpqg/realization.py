@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cotensor import CotensorAlgebra, Echelon, Word, add_into, word_key
+from .cotensor import CotensorAlgebra, Word, word_key
+from .linalg import Echelon, add_into
 from .scalars import Scalar, q_binomial, q_factorial
 
 
@@ -367,7 +368,7 @@ class IdealReducer:
                 return "nonzero", comp
             table = NormalFormTable(self, bound=bound)
             table.ensure(comp.terms)
-            if not table.rows.reduce(comp).is_zero:
+            if table.rows.reduce(comp.terms):
                 any_undecided = True
         if any_undecided:
             return f"undecided({bound})", None
@@ -423,7 +424,7 @@ class NormalFormTable:
         self.alg = reducer.alg
         self.bound = bound
         self.max_rows = max_rows
-        self.rows = Echelon(self._pivot_key)
+        self.rows = Echelon(self.alg.one, self._pivot_key)
         self._ensured = set()   # words whose targeted generators are present
         self.saturated = False
 
@@ -463,14 +464,14 @@ class NormalFormTable:
         if not isinstance(self.alg.one, Scalar):
             gens.sort(key=self._lead_key, reverse=True)
         for gen in gens:
-            self.rows.add(gen)
+            self.rows.add(gen.terms)
 
     def normal_form(self, x):
         """(residual, ok): ok means the residual is contraction-free, hence
         a sound representative of x modulo the ideal."""
         x = self.reducer.xi_rewrite(x)
         while True:
-            x = self.rows.reduce(x)
+            x = self.alg.element(self.rows.reduce(x.terms))
             pending = [w for w in x.terms if has_contraction(w)]
             if not pending:
                 return x, True

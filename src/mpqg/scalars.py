@@ -373,10 +373,6 @@ class Scalar:
         return Scalar(LaurentPoly.const(c))
 
     @staticmethod
-    def from_fraction(c):
-        return Scalar(LaurentPoly.const(c))
-
-    @staticmethod
     def variable(v, exp=1):
         return Scalar(LaurentPoly.variable(v, exp))
 

@@ -11,8 +11,8 @@ sigma(letter grading, inverse slot tail) and is the identity on group-likes.
 
 from __future__ import annotations
 
-from .cotensor import add_into
 from .grouplike import build_bicharacter
+from .linalg import add_into
 from .realization import Realization, relation_exprs
 
 

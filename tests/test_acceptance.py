@@ -316,7 +316,7 @@ def test_criterion_7_cocycle_twist():
 def _random_scalar(rng, vars_, *, monomials=2, spread=3):
     out = Scalar.from_int(0)
     for _ in range(rng.randint(1, monomials)):
-        term = Scalar.from_fraction(
+        term = Scalar.from_int(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         for v in vars_:
             term = term * Scalar.variable(v) ** rng.randint(-spread, spread)

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix, weight_from_marks
-from mpqg.cotensor import (CotensorAlgebra, Echelon, Word, add_into,
-                           word_key)
-from mpqg.linalg import Matrix
+from mpqg.cotensor import CotensorAlgebra, Word, word_key
+from mpqg.linalg import Echelon, add_into
 from mpqg.scalars import q_factorial, q_int
 
 
@@ -83,7 +82,7 @@ def test_product_group_times_letter():
     expect = alg.element({alg.word([("E", 1)], ki): q(alg, 0, 1)})
     assert out == expect
     # right action just extends the tail
-    out = alg.act_right(alg.E(1), ki)
+    out = alg.product(alg.E(1), alg.group_like(ki))
     assert out == alg.element({alg.word([("E", 1)], ki): alg.one})
 
 
@@ -376,12 +375,24 @@ def _random_vectors(alg, rng, words, count):
     return vecs
 
 
-def _columns(alg, vecs, extra=()):
-    """Dense matrix with one column per vector over the joint support."""
-    support = sorted({w for v in (*vecs, *extra) for w in v.terms},
-                     key=word_key)
-    return support, Matrix([[v.terms.get(w, alg.zero) for v in vecs]
-                            for w in support])
+def _rank(alg, vecs):
+    """Rank of the vectors by plain forward elimination on dense rows over
+    their joint support, an oracle independent of `Echelon`."""
+    support = sorted({w for v in vecs for w in v.terms}, key=word_key)
+    rows = [[v.terms.get(w, alg.zero) for w in support] for v in vecs]
+    rank = 0
+    for col in range(len(support)):
+        k = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        piv = rows[rank]
+        for r in rows[rank + 1:]:
+            if r[col]:
+                f = r[col] / piv[col]
+                r[:] = [a - f * b for a, b in zip(r, piv)]
+        rank += 1
+    return rank
 
 
 def test_echelon_matches_dense_elimination():
@@ -390,37 +401,45 @@ def test_echelon_matches_dense_elimination():
         words = sorted(set(_random_words(alg, rng, 12, max_len=2)),
                        key=word_key)
         vecs = _random_vectors(alg, rng, words, 9)
-        ech = Echelon()
+        ech = Echelon(alg.one, word_key)
         independent = 0
         for k, x in enumerate(vecs):
             handed_out = list(ech.rows.values())
-            before = [dict(r.terms) for r in handed_out]
-            independent += ech.add(x)
+            before = {qw: dict(r) for qw, r in ech.rows.items()}
+            got = ech.add(x.terms)
             # rows handed out earlier are replaced, never mutated
-            assert [r.terms for r in handed_out] == before
-            assert independent == _columns(alg, vecs[:k + 1])[1].rank()
+            assert handed_out == list(before.values())
+            if got is not None:
+                # the pivot is the least word of the remainder, which is x
+                # minus x's coefficient at each old pivot times its row;
+                # its value is reported before normalisation
+                pw, piv = got
+                assert pw == min(ech.rows[pw], key=word_key)
+                assert piv == x.terms.get(pw, alg.zero) - sum(
+                    (x.terms.get(qw, alg.zero) * row.get(pw, alg.zero)
+                     for qw, row in before.items()), alg.zero)
+                independent += 1
+            assert independent == _rank(alg, vecs[:k + 1])
             for pw, row in ech.rows.items():
-                assert row.terms[pw] == alg.one
-                assert all(row.terms.values())
-                assert not any(qw in row.terms for qw in ech.rows
-                               if qw != pw)
+                assert row[pw] == alg.one
+                assert all(row.values())
+                assert not any(qw in row for qw in ech.rows if qw != pw)
         probes = (vecs + _random_vectors(alg, rng, words, 6)
                   + [_combination(alg, rng, vecs) for _ in range(4)])
         seen = set()
+        rank = _rank(alg, vecs)
         for y in probes:
-            rem = ech.reduce(y)
-            assert all(rem.terms.values())
-            assert not set(rem.terms) & set(ech.rows)
-            support, m = _columns(alg, vecs, [y])
-            sol = m.solve([y.terms.get(w, alg.zero) for w in support])
-            assert rem.is_zero == (sol is not None)
-            seen.add(rem.is_zero)
-            if rem.is_zero:
+            rem = ech.reduce(y.terms)
+            assert all(rem.values())
+            assert not set(rem) & set(ech.rows)
+            assert (not rem) == (_rank(alg, vecs + [y]) == rank)
+            seen.add(not rem)
+            if not rem:
                 # mutually reduced monic rows: each coordinate is the
                 # coefficient at its pivot word
                 rebuilt = alg.zero_element()
                 for pw, row in ech.rows.items():
-                    rebuilt = rebuilt + row.scale(
+                    rebuilt = rebuilt + alg.element(row).scale(
                         y.terms.get(pw, alg.zero))
                 assert rebuilt == y
         assert seen == {True, False}

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.linalg import Matrix
+from mpqg.cartan import CartanDatum, ParamMatrix
+from mpqg.linalg import Echelon, Matrix
 from mpqg.scalars import Scalar
 
 
@@ -11,13 +12,24 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def _mul_vec(m, vec):
+    out = []
+    for row in m.rows:
+        acc = None
+        for a, b in zip(row, vec):
+            t = a * b
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return out
+
+
 def test_rank_and_det_fractions():
     m = Matrix([[F(1), F(2)], [F(2), F(4)]])
-    assert m.rank() == 1
+    assert m.ncols - len(m.kernel_basis()) == 1
     assert m.det() == 0
     m2 = Matrix([[F(1), F(2)], [F(3), F(5)]])
     assert m2.det() == -1
-    assert m2.rank() == 2
+    assert m2.kernel_basis() == []
 
 
 def test_ragged_rows_rejected():
@@ -28,10 +40,12 @@ def test_ragged_rows_rejected():
 def test_solve_and_kernel():
     m = Matrix([[F(1), F(1), F(0)], [F(0), F(1), F(1)]])
     x = m.solve([F(3), F(2)])
-    assert m.mul_vec(x) == [F(3), F(2)]
+    assert _mul_vec(m, x) == [F(3), F(2)]
+    # the free variable (the last column) is zero
+    assert x == [F(1), F(2), F(0)]
     k = m.kernel_basis()
     assert len(k) == 1
-    assert m.mul_vec(k[0]) == [0, 0]
+    assert _mul_vec(m, k[0]) == [0, 0]
     # inconsistent system
     m3 = Matrix([[F(1), F(1)], [F(2), F(2)]])
     assert m3.solve([F(1), F(3)]) is None
@@ -57,6 +71,92 @@ def test_det_matches_cofactor_expansion_random():
         n = rng.randint(1, 4)
         rows = [[F(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         assert Matrix(rows).det() == _det_cofactor(rows)
+
+
+def _fields():
+    """Parameter tables over Fraction, symbolic Scalar and cyclotomic
+    entries; their diagonal entry q makes nonconstant field elements."""
+    a1 = CartanDatum.preset("A1")
+    return [ParamMatrix.numeric(a1, {(0, 0): Fraction(5)}),
+            ParamMatrix.symbolic(a1),
+            ParamMatrix.root_of_unity(a1, 5)]
+
+
+def _entry(pm, rng):
+    if rng.random() < 0.2:
+        return pm.zero
+    q = pm.entry(0, 0)
+    return (pm.coerce(rng.randint(-3, 3))
+            + pm.coerce(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            * q ** rng.randint(-1, 2))
+
+
+def _random_rows(pm, rng, nrows, ncols, singular=False):
+    rows = [[_entry(pm, rng) for _ in range(ncols)] for _ in range(nrows)]
+    if singular and nrows > 1:
+        # one row becomes a combination of the others
+        k = rng.randrange(nrows)
+        row = [pm.zero] * ncols
+        for r, other in enumerate(rows):
+            if r != k:
+                c = _entry(pm, rng)
+                row = [a + c * b for a, b in zip(row, other)]
+        rows[k] = row
+    return rows
+
+
+def test_det_matches_cofactor_expansion_in_every_field():
+    rng = random.Random(20261019)
+    for pm in _fields():
+        seen = set()
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            singular = rng.random() < 0.4
+            rows = _random_rows(pm, rng, n, n, singular)
+            det = Matrix(rows).det()
+            assert det == _det_cofactor(rows)
+            if singular and n > 1:
+                assert not det
+            seen.add(bool(det))
+        assert seen == {True, False}
+
+
+def test_solve_by_substitution_in_every_field():
+    rng = random.Random(7)
+    for pm in _fields():
+        for _ in range(8):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            m = Matrix(_random_rows(pm, rng, nrows, ncols,
+                                    singular=rng.random() < 0.5))
+            rhs = _mul_vec(m, [_entry(pm, rng) for _ in range(ncols)])
+            x = m.solve(rhs)
+            assert x is not None and _mul_vec(m, x) == rhs
+        # a zero row against a nonzero right-hand side is inconsistent
+        m = Matrix(_random_rows(pm, rng, 2, 3) + [[pm.zero] * 3])
+        assert m.solve([pm.one, pm.one, pm.one]) is None
+        # so is a row that repeats another with a different right-hand side
+        row = [_entry(pm, rng) or pm.one for _ in range(3)]
+        assert Matrix([row, row]).solve([pm.one, pm.zero]) is None
+
+
+def test_echelon_on_integer_column_keys():
+    ech = Echelon(F(1))
+    # the pivot is the least column; its value is reported unnormalised
+    assert ech.add({2: F(3), 1: F(2)}) == (1, F(2))
+    assert ech.rows == {1: {2: F(3, 2), 1: F(1)}}
+    assert ech.add({1: F(4), 2: F(6)}) is None
+    # reduced by row 1 first: the remainder is {0: 5, 3: 1, 2: -3/2}
+    assert ech.add({0: F(5), 1: F(1), 3: F(1)}) == (0, F(5))
+    assert ech.rows[0] == {0: F(1), 2: F(-3, 10), 3: F(1, 5)}
+    # a pivot at column 2 clears column 2 from both older rows
+    assert ech.add({2: F(-1)}) == (2, F(-1))
+    assert list(ech.rows) == [1, 0, 2]
+    assert ech.rows[1] == {1: F(1)}
+    assert ech.rows[0] == {0: F(1), 3: F(1, 5)}
+    assert ech.rows[2] == {2: F(1)}
+    assert ech.reduce({0: F(5), 1: F(1), 3: F(2)}) == {3: F(1)}
+    assert ech.reduce({1: F(7), 2: F(1)}) == {}
+    assert len(ech) == 3
 
 
 def test_symbolic_entries():

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, simple_root, weyl_dim
-from mpqg.cotensor import Echelon, Word, word_key
+from mpqg.cotensor import Word, word_key
+from mpqg.linalg import Echelon
 from mpqg.modules import (ClosureError, UndecidedReductionError, alcove_check,
                           build_module, coinvariant_project,
                           is_right_coinvariant, root_of_unity_module,
@@ -19,6 +20,7 @@ from mpqg.realization import NormalFormTable, e, f, has_contraction
 A1 = CartanDatum.preset("A1")
 A2 = CartanDatum.preset("A2")
 B2 = CartanDatum.preset("B2")
+G2 = CartanDatum.preset("G2")
 
 
 def a1_module(m, mode="symbolic"):
@@ -84,7 +86,7 @@ def test_highest_vector_axioms():
         assert mod._act_atom(("w", i, 1), v) == v.scale(pm.q_pairing(ai, lam))
         assert mod._act_atom(("wp", i, 1), v) == \
             v.scale(pm.q_pairing(lam, ai) ** -1)
-    assert mod.vector_weight(v) == lam
+    assert {LatticeVector(alg.weight_of_word(w)) for w in v.terms} == {lam}
     # coproduct of the highest-weight word: grading part plus bare-word part
     vw = Word((("V",),), g.identity)
     kl = Word((), g.basis(("KL",)))
@@ -162,6 +164,23 @@ def test_dimensions_b2():
     assert mod.dimension == 5 == weyl_dim(B2, lam)
     assert [d for _, d in mod.weight_dims()] == [1, 1, 1, 1, 1]
     assert (mod.nilpotency_threshold(0), mod.nilpotency_threshold(1)) == (2, 1)
+
+
+def test_dimensions_g2():
+    # builds only: the relation checks at (2, 3) are a known multi-minute
+    # wall of ideal reduction
+    pm = ParamMatrix.numeric(
+        G2, {(0, 0): Fraction(8), (1, 1): Fraction(2), (0, 1): Fraction(3)})
+    zero = LatticeVector((Fraction(0), Fraction(0)))
+    for coords, dim in (((1, 2), 7), ((2, 3), 14)):
+        lam = LatticeVector(tuple(Fraction(c) for c in coords))
+        mod = build_module(G2, pm, lam)
+        assert mod.closure_certified
+        assert mod.dimension == dim == weyl_dim(G2, lam)
+    # the adjoint module: every root once, the zero weight twice
+    dims = dict(mod.weight_dims())
+    assert dims.pop(zero) == 2
+    assert set(dims.values()) == {1} and len(dims) == 12
 
 
 # -- defining relations as matrix identities ------------------------------------------
@@ -389,13 +408,13 @@ def test_table_does_not_depend_on_insertion_order(mode):
             if has_contraction(wrd) and len(wrd.letters) <= table.bound
             for p, letter in enumerate(wrd.letters) if letter[0] == "X"]
     random.Random(7).shuffle(gens)
-    shuffled = Echelon(NormalFormTable._pivot_key)
+    shuffled = Echelon(alg.one, NormalFormTable._pivot_key)
     for gen in gens:
-        shuffled.add(gen)
+        shuffled.add(gen.terms)
     assert list(shuffled.rows) != list(table.rows.rows)
     assert set(shuffled.rows) == set(table.rows.rows)
     for pw, row in table.rows.rows.items():
-        assert shuffled.rows[pw].terms == row.terms
+        assert shuffled.rows[pw] == row
     twin = NormalFormTable(mod.reducer, bound=table.bound)
     twin.rows, twin._ensured = shuffled, set(table._ensured)
     assert table.normal_form(x)[1]
