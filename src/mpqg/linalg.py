@@ -88,15 +88,12 @@ class Echelon:
 
 def _echelon(rows):
     """Eliminate dense rows in one `Echelon` keyed by column index; returns
-    (echelon, what `add` gave for each row, one, zero), with one and zero
-    read off the first nonzero entry (1 and 0 when there is none)."""
-    one = next((x / x for row in rows for x in row if x), None)
-    ech = Echelon(one)
+    it with what `add` gave for each row.  Its ``one`` is read off the
+    first nonzero entry (1 when there is none)."""
+    ech = Echelon(next((x / x for row in rows for x in row if x), 1))
     pivots = [ech.add({c: x for c, x in enumerate(row) if x})
               for row in rows]
-    if one is None:
-        return ech, pivots, 1, 0
-    return ech, pivots, one, one - one
+    return ech, pivots
 
 
 class Matrix:
@@ -121,13 +118,13 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if not self.rows:
             raise ValueError("determinant of an empty matrix")
-        _ech, pivots, _one, zero = _echelon(self.rows)
+        ech, pivots = _echelon(self.rows)
         if not all(pivots):
-            return zero
-        det = None
-        for _col, piv in pivots:
-            det = piv if det is None else det * piv
-        cols = [col for col, _piv in pivots]
+            return ech.one - ech.one
+        cols, vals = zip(*pivots)
+        det = vals[0]
+        for piv in vals[1:]:
+            det = det * piv
         swaps = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
         return -det if swaps % 2 else det
 
@@ -136,10 +133,10 @@ class Matrix:
         (a pivot in the right-hand-side column).  Free variables are set to
         zero."""
         n = self.ncols
-        ech, _pivots, _one, zero = _echelon(
-            [r + [b] for r, b in zip(self.rows, rhs)])
+        ech, _pivots = _echelon([r + [b] for r, b in zip(self.rows, rhs)])
         if n in ech.rows:
             return None
+        zero = ech.one - ech.one
         x = [zero] * n
         for c, row in ech.rows.items():
             x[c] = row.get(n, zero)
@@ -149,7 +146,8 @@ class Matrix:
         """Basis of the right kernel, each vector verified by substitution."""
         if self.ncols == 0:
             return []
-        ech, _pivots, one, zero = _echelon(self.rows)
+        ech, _pivots = _echelon(self.rows)
+        one, zero = ech.one, ech.one - ech.one
         basis = []
         for fc in range(self.ncols):
             if fc in ech.rows:
