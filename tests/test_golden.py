@@ -29,6 +29,9 @@ G2 = "preset = 'G2'\n"
 B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
                    "numeric = {(0, 0): 9, (1, 1): 3, (0, 1): 5}\n"
                    "max_height = 4\n")
+A2_NUMERIC_MODULE = ("preset = 'A2'\nmode = 'numeric'\n"
+                     "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
+                     "weights = [[1, 1]]\n")
 B2_ROOT_OF_UNITY_GRAM = ("preset = 'B2'\nmode = 'root-of-unity'\nell = 5\n"
                          "max_height = 4\n")
 
@@ -42,6 +45,7 @@ RUNS = {
     "a2-smallqg": (["smallqg"], None),
     "a2-pairing-gram": (["pairing", "gram"], None),
     "a2-module": (["module"], None),
+    "a2-numeric-module": (["module"], A2_NUMERIC_MODULE),
     "cfg-a2-symbolic-check-relations": (["check", "relations"],
                                         "a2-symbolic.cfg"),
     "cfg-a2-symbolic-module": (["module"], "a2-symbolic.cfg"),
