@@ -303,58 +303,87 @@ class CotensorAlgebra:
     # -- product ----------------------------------------------------------------
 
     def word_product(self, wx, wy):
-        """Product of two basis words as a word -> coefficient map."""
+        """Product of two basis words as a word -> coefficient map.
+
+        A path through the (i, j) grid (i letters of x and j of y consumed)
+        spells one output word.  Each edge's letter and coefficient depend
+        only on its start node, so they are computed once per edge; a
+        coefficient equal to one is stored as None and not multiplied in.
+        The left and right actions keep the slot chain by construction; a
+        contraction keeps it when its letter is graded by the product of
+        the two it replaces.  A contraction out of (0, 0) fills the first
+        slot, whose tail no letter constrains, so it is not checked."""
         key = (wx, wy)
         got = self._prod_cache.get(key)
         if got is not None:
             return got
         g = self.group
+        one = self.one
+        letters = self.letters
         lx, ly = wx.letters, wy.letters
         p, q = len(lx), len(ly)
         sgx = self.suffix_groups(lx, wx.tail)
         sgy = self.suffix_groups(ly, wy.tail)
         tail = g.mul(wx.tail, wy.tail)
+
+        def unless_one(c):
+            return None if c == one else c
+
+        # left[i][j]: coefficient of the left action of the not-yet-consumed
+        # part of x on y's letter j; contract[i, j]: (letter, coefficient)
+        left = [[unless_one(letters[b].char(sgx[i])) for b in ly]
+                for i in range(p + 1)]
+        contract = {}
+        for i, a in enumerate(lx):
+            for j, b in enumerate(ly):
+                rule = self.alpha.get((a, b))
+                if rule is None:
+                    continue
+                cl, rc = rule
+                if (i or j) and (
+                        g.mul(letters[cl].grading,
+                              g.mul(sgx[i + 1], sgy[j + 1]))
+                        != g.mul(sgx[i], sgy[j])):
+                    raise ArithmeticError("slot chain violated")
+                contract[i, j] = (cl, unless_one(
+                    rc * letters[b].char(sgx[i + 1])))
         out = {}
+        acc = []
 
-        def emit(acc, groups, coeff):
-            w = Word(tuple(acc), tail)
-            if self.slot_tails(w) != groups:
-                raise ArithmeticError("slot chain violated")
-            s = out.get(w)
-            out[w] = coeff if s is None else s + coeff
-
-        def walk(i, j, acc, groups, coeff):
-            if i == p and j == q:
-                emit(acc, groups, coeff)
+        def walk(i, j, coeff):
+            if i == p:
+                # only left actions remain
+                for c in left[p][j:]:
+                    if c is not None:
+                        coeff = coeff * c
+                w = Word(tuple(acc) + ly[j:], tail)
+            elif j == q:
+                # only right actions remain
+                w = Word(tuple(acc) + lx[i:], tail)
+            else:
+                w = None
+            if w is not None:
+                s = out.get(w)
+                out[w] = coeff if s is None else s + coeff
                 return
             if j < q:
-                # left action of the not-yet-consumed part of x on a letter
-                b = ly[j]
-                c = self.letters[b].char(sgx[i])
-                acc.append(b)
-                groups.append(g.mul(sgx[i], sgy[j + 1]))
-                walk(i, j + 1, acc, groups, coeff * c)
+                c = left[i][j]
+                acc.append(ly[j])
+                walk(i, j + 1, coeff if c is None else coeff * c)
                 acc.pop()
-                groups.pop()
             if i < p:
                 # right action of the rest of y on a letter of x
                 acc.append(lx[i])
-                groups.append(g.mul(sgx[i + 1], sgy[j]))
-                walk(i + 1, j, acc, groups, coeff)
+                walk(i + 1, j, coeff)
                 acc.pop()
-                groups.pop()
-            if i < p and j < q:
-                rule = self.alpha.get((lx[i], ly[j]))
+                rule = contract.get((i, j))
                 if rule is not None:
-                    cl, rc = rule
-                    c = rc * self.letters[ly[j]].char(sgx[i + 1])
+                    cl, c = rule
                     acc.append(cl)
-                    groups.append(g.mul(sgx[i + 1], sgy[j + 1]))
-                    walk(i + 1, j + 1, acc, groups, coeff * c)
+                    walk(i + 1, j + 1, coeff if c is None else coeff * c)
                     acc.pop()
-                    groups.pop()
 
-        walk(0, 0, [], [], self.one)
+        walk(0, 0, one)
         out = {w: c for w, c in out.items() if c}
         self._prod_cache[key] = out
         return out

@@ -3,12 +3,19 @@
 Entries must support +, -, *, /, unary - and truthiness (nonzero test).
 Works for Fraction, Scalar and CyclotomicElement alike.  Vectors are plain
 dicts key -> coefficient that never store a zero; `add_into` sums them in
-place and `Echelon` is the one elimination.  `Matrix` is a dense container
-(module action matrices and their products) whose `det`, `solve` and
-`kernel_basis` run on an `Echelon` keyed by column index.
+place and `Echelon` is the one elimination.  Over Q an `Echelon` keeps its
+rows as primitive integer vectors and eliminates fraction-free (Bareiss's
+idea, with the gcd of each pair of multipliers cancelled), decoding to
+`Fraction`s whatever it hands out; other fields keep rows scaled to one.
+`Matrix` is a dense container (module action matrices and their products)
+whose `det`, `solve` and `kernel_basis` run on an `Echelon` keyed by column
+index.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def add_into(d, terms, c=None):
@@ -17,7 +24,8 @@ def add_into(d, terms, c=None):
     never stores a zero; surviving keys keep their place and new ones are
     appended.  Every sum of word maps goes through it (products,
     coproducts, `Echelon` row operations, antipodes, adjoint actions,
-    twists, relation expressions) except the product walk's `emit` and the
+    twists, relation expressions) except the final sum of the product
+    walk in `word_product`, which adds one coefficient per path, and the
     cross-check oracles."""
     if c is not None and not c:
         return
@@ -46,44 +54,103 @@ class Echelon:
     keys' own order, as for column indices).  Row operations run in place
     on plain dicts through `add_into`; a stored row is never mutated but
     replaced, so rows handed out earlier keep their value.
+
+    Over Q (``one`` a `Fraction`) the stored rows are primitive integer
+    vectors with a positive pivot entry: each incoming vector is cleared to
+    integers over the lcm of its denominators, a row operation is
+    d <- a*d - c*row with a the row's pivot entry (after cancelling
+    gcd(a, c)), and remainders, pivot values and ``rows`` are decoded back
+    to the `Fraction`s that field rows hold.  The reduced echelon form and
+    its remainders are unique, so only the cost changes.  Other fields keep
+    rows scaled to ``one``.
     """
 
     def __init__(self, one, key=None):
         self.one = one
         self.key = key
-        self.rows = {}
+        self._int_rows = isinstance(one, Fraction)
+        self._rows = {}
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """Pivot key -> row with coefficient ``one`` at its pivot, in
+        insertion order; over Q a fresh decoding of the integer rows."""
+        if not self._int_rows:
+            return self._rows
+        return {pw: {w: Fraction(v, row[pw]) for w, v in row.items()}
+                for pw, row in self._rows.items()}
+
+    def _clear(self, d, row, pw):
+        """Cancel d's entry at pw, row's pivot, by one row operation in
+        place; returns the factor that multiplied d (1 on field rows)."""
+        c = d[pw]
+        if not self._int_rows:
+            add_into(d, row, -c)
+            return 1
+        g = gcd(row[pw], c)
+        a = row[pw] // g
+        if a != 1:
+            for w in d:
+                d[w] *= a
+        add_into(d, row, -(c // g))
+        return a
+
+    def _eliminate(self, vec):
+        """(d, den): the remainder of vec is d / den (den is 1 on field
+        rows)."""
+        if self._int_rows:
+            den = lcm(*[v.denominator for v in vec.values()])
+            d = {w: v.numerator * (den // v.denominator)
+                 for w, v in vec.items()}
+        else:
+            den, d = 1, dict(vec)
+        for pw, row in self._rows.items():
+            if pw in d:
+                den *= self._clear(d, row, pw)
+        return d, den
 
     def reduce(self, vec):
         """The remainder of vec modulo the span, as a new dict."""
-        d = dict(vec)
-        for pw, row in self.rows.items():
-            c = d.get(pw)
-            if c is not None:
-                add_into(d, row, -c)
+        d, den = self._eliminate(vec)
+        if self._int_rows:
+            return {w: Fraction(v, den) for w, v in d.items()}
         return d
 
     def add(self, vec):
         """(pivot key, pivot value before normalisation) when vec was
         independent of the span (it is now inside), else None."""
-        d = self.reduce(vec)
+        d, den = self._eliminate(vec)
         if not d:
             return None
         pw = min(d, key=self.key)
         piv = d[pw]
-        inv = self.one / piv
-        for w, v in d.items():
-            d[w] = inv * v
-        for qw, row in self.rows.items():
-            c = row.get(pw)
-            if c is not None:
+        if self._int_rows:
+            _primitive(d, -1 if piv < 0 else 1)
+            piv = Fraction(piv, den)
+        else:
+            inv = self.one / piv
+            for w, v in d.items():
+                d[w] = inv * v
+        for qw, row in self._rows.items():
+            if pw in row:
                 new = dict(row)
-                add_into(new, d, -c)
-                self.rows[qw] = new
-        self.rows[pw] = d
+                self._clear(new, d, pw)
+                if self._int_rows:
+                    _primitive(new, 1)
+                self._rows[qw] = new
+        self._rows[pw] = d
         return pw, piv
+
+
+def _primitive(d, sign):
+    """Divide the integer vector d in place by sign times its content."""
+    g = sign * gcd(*d.values())
+    if g != 1:
+        for w, v in d.items():
+            d[w] = v // g
 
 
 def _echelon(rows):

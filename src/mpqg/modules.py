@@ -204,22 +204,6 @@ class HighestWeightModule:
     def act_raise(self, i, vec):
         return self._act_atom(("e", i), vec)
 
-    def _apply_terms(self, pairs, vec):
-        out = {}
-        for mono, coeff in pairs:
-            acc = vec
-            for atom in reversed(mono):
-                acc = self._act_atom(atom, acc)
-                if acc.is_zero:
-                    break
-            add_into(out, acc.terms, self.alg.coerce(coeff))
-        return self.alg.element(out)
-
-    def adjoint_act(self, expr, vec):
-        """Action of a presented-generator polynomial by iterated adjoint
-        steps (one reduction per generator application)."""
-        return self._apply_terms(expr.terms.items(), vec)
-
     # -- closed forms -------------------------------------------------------------
 
     def lowering_closed_form(self, i, r):
@@ -251,11 +235,6 @@ class HighestWeightModule:
         return r
 
     # -- matrices -----------------------------------------------------------------
-
-    def torus_eigenvalue(self, i, mu, primed=False):
-        if primed:
-            return self.params.q_pairing(mu, simple_root(self.datum, i)) ** -1
-        return self.params.q_pairing(simple_root(self.datum, i), mu)
 
     def _atom_shift(self, atom):
         if atom[0] == "e":

@@ -410,6 +410,8 @@ class NormalFormTable:
     eliminating: each new pivot then lies below the older ones, which
     rarely need back-elimination.  The reduced echelon form of a span is
     unique, so rows and normal forms do not depend on that order.  With
+    exact-rational coefficients the `Echelon` eliminates on primitive
+    integer rows and hands out the same `Fraction`s.  With
     symbolic `Scalar` coefficients the generators keep discovery order:
     `Scalar` has no gcd, so the order of row operations sets the size of
     its coefficients (sorted, the symbolic A1 module at weight 3/2 runs

@@ -151,10 +151,6 @@ class LaurentPoly:
         self.terms = terms
 
     @staticmethod
-    def from_dict(d):
-        return LaurentPoly({m: c for m, c in d.items() if c})
-
-    @staticmethod
     def const(c):
         c = _rational(c)
         return LaurentPoly({(): c} if c else {})

@@ -147,6 +147,21 @@ def test_product_tail_and_grading_multiplicative():
             assert alg.total_grading(w) == g.mul(gx, gy)
 
 
+def test_slot_chain_violation_raises(monkeypatch):
+    # a contraction letter must be graded by the product of the two letters
+    # it replaces; X1 is not graded like E0 (x) F0, and in these products
+    # the contraction fills a slot with a letter after it
+    for wx, wy in (([("E", 1), ("E", 0)], [("F", 0)]),
+                   ([("E", 0)], [("F", 1), ("F", 0)])):
+        alg = _a2()
+        rule = alg.alpha[(("E", 0), ("F", 0))]
+        monkeypatch.setitem(alg.alpha, (("E", 0), ("F", 0)),
+                            (("X", 1), rule[1]))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="slot chain violated"):
+                alg.word_product(alg.word(wx), alg.word(wy))
+
+
 def test_walk_matches_recursive_oracle(preset_params):
     alg = CotensorAlgebra(*preset_params)
     rng = random.Random(20260819)

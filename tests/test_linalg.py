@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import CartanDatum, ParamMatrix
+from mpqg.cotensor import Word, word_key
 from mpqg.linalg import Echelon, Matrix
 from mpqg.scalars import Scalar
 
@@ -157,6 +158,88 @@ def test_echelon_on_integer_column_keys():
     assert ech.reduce({0: F(5), 1: F(1), 3: F(2)}) == {3: F(1)}
     assert ech.reduce({1: F(7), 2: F(1)}) == {}
     assert len(ech) == 3
+
+
+class _GaussJordan:
+    """Oracle for `Echelon` over Q: Fraction rows scaled to 1 at the pivot
+    and kept mutually reduced, written out without `add_into`."""
+
+    def __init__(self, key):
+        self.key = key
+        self.rows = {}
+
+    def reduce(self, vec):
+        d = {k: v for k, v in vec.items() if v}
+        for pw, row in self.rows.items():
+            c = d.get(pw)
+            if c:
+                for k in set(d) | set(row):
+                    d[k] = d.get(k, F(0)) - c * row.get(k, F(0))
+                d = {k: v for k, v in d.items() if v}
+        return d
+
+    def add(self, vec):
+        d = self.reduce(vec)
+        if not d:
+            return None
+        pw = min(d, key=self.key)
+        piv = d[pw]
+        d = {k: v / piv for k, v in d.items()}
+        for qw, row in self.rows.items():
+            c = row.get(pw)
+            if c:
+                new = {k: row.get(k, F(0)) - c * d.get(k, F(0))
+                       for k in set(row) | set(d)}
+                self.rows[qw] = {k: v for k, v in new.items() if v}
+        self.rows[pw] = d
+        return pw, piv
+
+
+def _sparse_fractions(rng, keys, count):
+    """(vector, dependent) pairs: sparse Fraction vectors, about a third of
+    them combinations of earlier ones (the empty combination included)."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.35:
+            vec = {}
+            for v, _dep in rng.sample(out, min(len(out), rng.randint(0, 3))):
+                c = F(rng.randint(-5, 5), rng.randint(1, 6))
+                for k, x in v.items():
+                    vec[k] = vec.get(k, F(0)) + c * x
+            out.append(({k: x for k, x in vec.items() if x}, True))
+        else:
+            out.append(({k: F(rng.choice([-1, 1]) * rng.randint(1, 40),
+                              rng.choice([1, 1, 2, 3, 4, 7, 12, 60]))
+                         for k in rng.sample(keys, rng.randint(1, 5))},
+                        False))
+    return out
+
+
+def test_rational_echelon_matches_gauss_jordan_oracle():
+    rng = random.Random(20261019)
+    letters = [("E", 0), ("E", 1), ("F", 0), ("F", 1), ("X", 0), ("V",)]
+    words = sorted({Word(tuple(rng.choice(letters)
+                               for _ in range(rng.randint(0, 3))),
+                         (rng.randint(-1, 1), rng.randint(-1, 1)))
+                    for _ in range(14)}, key=word_key)
+    for keys, key in ((words, word_key), (list(range(12)), None)):
+        for _trial in range(6):
+            ech, oracle = Echelon(F(1), key), _GaussJordan(key)
+            vecs = _sparse_fractions(rng, keys, 16)
+            for vec, dependent in vecs:
+                got = ech.add(vec)
+                assert got == oracle.add(vec)
+                if dependent:
+                    assert got is None
+                assert list(ech.rows) == list(oracle.rows)
+                assert ech.rows == oracle.rows
+                assert all(type(v) is Fraction
+                           for row in ech.rows.values() for v in row.values())
+                for probe, _dep in _sparse_fractions(rng, keys, 3):
+                    rem = ech.reduce(probe)
+                    assert rem == oracle.reduce(probe)
+                    assert all(type(v) is Fraction for v in rem.values())
+            assert len(ech) == len(oracle.rows)
 
 
 def test_symbolic_entries():

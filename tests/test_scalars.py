@@ -23,6 +23,11 @@ Q12 = ("q", 0, 1)
 V = ("q",)
 
 
+def _poly(terms):
+    """The Laurent polynomial with these terms, zero coefficients dropped."""
+    return LaurentPoly({m: c for m, c in terms.items() if c})
+
+
 def s_var(v, e=1):
     return Scalar.variable(v, e)
 
@@ -170,7 +175,7 @@ def _random_scalar(rng, nvars=2, max_terms=3):
             c = Fraction(rng.randint(-4, 4))
             if c:
                 terms[tuple(sorted(mono))] = terms.get(tuple(sorted(mono)), 0) + c
-        return LaurentPoly.from_dict(terms)
+        return _poly(terms)
 
     num = rand_poly()
     den = rand_poly()
@@ -241,7 +246,7 @@ def _rand_poly(rng, max_terms=3, denominators=(1,), fraction_coeffs=False):
         if fraction_coeffs and rng.random() < 0.5:
             c = Fraction(c, rng.choice([2, 3, 5]))
         terms[m] = terms.get(m, 0) + c
-    return LaurentPoly.from_dict(terms)
+    return _poly(terms)
 
 
 def _is_exact(x):
