@@ -36,6 +36,9 @@ from .grouplike import Character, GradingGroup, standard_group
 from .linalg import add_into
 
 
+_UNSET = object()
+
+
 class Word(NamedTuple):
     letters: tuple
     tail: tuple
@@ -184,6 +187,8 @@ class CotensorAlgebra:
             self.alpha[(("E", i), ("F", i))] = (("X", i), coeff)
         self._prod_cache = {}
         self._anti_cache = {}
+        # (letter, group element) -> the letter's character there, None for one
+        self._left_cache = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -308,11 +313,13 @@ class CotensorAlgebra:
         A path through the (i, j) grid (i letters of x and j of y consumed)
         spells one output word.  Each edge's letter and coefficient depend
         only on its start node, so they are computed once per edge; a
-        coefficient equal to one is stored as None and not multiplied in.
-        The left and right actions keep the slot chain by construction; a
-        contraction keeps it when its letter is graded by the product of
-        the two it replaces.  A contraction out of (0, 0) fills the first
-        slot, whose tail no letter constrains, so it is not checked."""
+        coefficient equal to one is stored as None and not multiplied in,
+        and the left-action coefficients are cached per letter and group
+        element for the algebra's lifetime.  The left and right actions
+        keep the slot chain by construction; every contraction edge,
+        the one out of (0, 0) included, is checked to keep it, which on
+        the algebra's own rules says that the contraction letter is graded
+        by the product of the two letters it replaces."""
         key = (wx, wy)
         got = self._prod_cache.get(key)
         if got is not None:
@@ -331,8 +338,16 @@ class CotensorAlgebra:
 
         # left[i][j]: coefficient of the left action of the not-yet-consumed
         # part of x on y's letter j; contract[i, j]: (letter, coefficient)
-        left = [[unless_one(letters[b].char(sgx[i])) for b in ly]
-                for i in range(p + 1)]
+        cache = self._left_cache
+        left = []
+        for s in sgx:
+            row = []
+            for b in ly:
+                c = cache.get((b, s), _UNSET)
+                if c is _UNSET:
+                    c = cache[b, s] = unless_one(letters[b].char(s))
+                row.append(c)
+            left.append(row)
         contract = {}
         for i, a in enumerate(lx):
             for j, b in enumerate(ly):
@@ -340,9 +355,7 @@ class CotensorAlgebra:
                 if rule is None:
                     continue
                 cl, rc = rule
-                if (i or j) and (
-                        g.mul(letters[cl].grading,
-                              g.mul(sgx[i + 1], sgy[j + 1]))
+                if (g.mul(letters[cl].grading, g.mul(sgx[i + 1], sgy[j + 1]))
                         != g.mul(sgx[i], sgy[j])):
                     raise ArithmeticError("slot chain violated")
                 contract[i, j] = (cl, unless_one(

@@ -60,9 +60,13 @@ class Echelon:
     integers over the lcm of its denominators, a row operation is
     d <- a*d - c*row with a the row's pivot entry (after cancelling
     gcd(a, c)), and remainders, pivot values and ``rows`` are decoded back
-    to the `Fraction`s that field rows hold.  The reduced echelon form and
-    its remainders are unique, so only the cost changes.  Other fields keep
-    rows scaled to ``one``.
+    to the `Fraction`s that field rows hold.  A vector over Q meets only
+    the rows whose pivots it carries, in the order of its own entries:
+    clearing one pivot brings in no other, since the rows are mutually
+    reduced.  The reduced echelon form and its remainders are unique, so
+    only the cost changes.  Other fields keep rows scaled to ``one`` and
+    meet every row in insertion order: `Scalar` has no gcd, and the order
+    of row operations sets the size of its denominators.
     """
 
     def __init__(self, one, key=None):
@@ -101,15 +105,17 @@ class Echelon:
     def _eliminate(self, vec):
         """(d, den): the remainder of vec is d / den (den is 1 on field
         rows)."""
-        if self._int_rows:
-            den = lcm(*[v.denominator for v in vec.values()])
-            d = {w: v.numerator * (den // v.denominator)
-                 for w, v in vec.items()}
-        else:
-            den, d = 1, dict(vec)
-        for pw, row in self._rows.items():
-            if pw in d:
-                den *= self._clear(d, row, pw)
+        rows = self._rows
+        if not self._int_rows:
+            d = dict(vec)
+            for pw, row in rows.items():
+                if pw in d:
+                    self._clear(d, row, pw)
+            return d, 1
+        den = lcm(*[v.denominator for v in vec.values()])
+        d = {w: v.numerator * (den // v.denominator) for w, v in vec.items()}
+        for pw in [w for w in d if w in rows]:
+            den *= self._clear(d, rows[pw], pw)
         return d, den
 
     def reduce(self, vec):

@@ -297,6 +297,11 @@ def relation_verdict(reducer, rid, parts, bound):
     return "pass", f"zero-mod-J({bound})"
 
 
+def _kkp(g, i):
+    """K_i K'_i^{-1} in the grading group g."""
+    return g.element([(("K", i), 1), (("Kp", i), -1)])
+
+
 class IdealReducer:
     """Bounded reduction modulo the two-sided ideal (r_i : i)."""
 
@@ -306,10 +311,9 @@ class IdealReducer:
     def r_elt(self, i):
         alg = self.alg
         g = alg.group
-        kkp = g.element([(("K", i), 1), (("Kp", i), -1)])
         return alg.element({
             alg.word([("X", i)]): alg.one,
-            Word((), kkp): -alg.one,
+            Word((), _kkp(g, i)): -alg.one,
             Word((), g.identity): alg.one,
         })
 
@@ -324,8 +328,7 @@ class IdealReducer:
         out = {}
         for word, c in x.terms.items():
             if len(word.letters) == 1 and word.letters[0][0] == "X":
-                i = word.letters[0][1]
-                kkp = g.element([(("K", i), 1), (("Kp", i), -1)])
+                kkp = _kkp(g, word.letters[0][1])
                 add_into(out, {Word((), g.mul(kkp, word.tail)): c})
                 add_into(out, {Word((), word.tail): -c})
             else:
@@ -337,14 +340,36 @@ class IdealReducer:
     def targeted_generator(self, wrd, p):
         """The ideal element u * r_i * v that replaces exactly the
         contraction letter X_i at position p of the word: u is the prefix,
-        v the suffix together with the tail."""
+        v the suffix together with the tail.
+
+        It is built from cached word products alone.  With k = K_i K'_i^{-1}
+        and r_i = X_i - k + 1, u * r_i * v is the sum of c * (w * v) over
+        the words w of u * X_i with coefficient c, plus
+        (1 - chi_v(k) shift_k)(u * v): shift_k multiplies every tail by k,
+        and chi_v(k) is the product of the characters of v's letters at k.
+        That is (u k) * v = chi_v(k) shift_k(u * v), because each letter of
+        v meets u's tail exactly once, by a left action or in a contraction
+        coefficient.  No two of the three parts share a word (they differ
+        in letter counts or by k in the tail), so the terms come out in the
+        order that the product (u * r_i) * v gives them."""
         alg = self.alg
-        prefix = Word(wrd.letters[:p], alg.group.identity)
-        suffix = Word(wrd.letters[p + 1:], wrd.tail)
-        return alg.product(
-            alg.product(alg.element({prefix: alg.one}),
-                        self.r_elt(wrd.letters[p][1])),
-            alg.element({suffix: alg.one}))
+        g = alg.group
+        i = wrd.letters[p][1]
+        k = _kkp(g, i)
+        u = Word(wrd.letters[:p], g.identity)
+        v = Word(wrd.letters[p + 1:], wrd.tail)
+        one = alg.one
+        out = {}
+        for w, c in alg.word_product(u, Word((("X", i),), g.identity)).items():
+            add_into(out, alg.word_product(w, v), None if c == one else c)
+        uv = alg.word_product(u, v)
+        chi = -one
+        for b in v.letters:
+            chi = chi * alg.letters[b].char(k)
+        add_into(out, {Word(w.letters, g.mul(k, w.tail)): c
+                       for w, c in uv.items()}, chi)
+        add_into(out, uv)
+        return alg.element(out)
 
     def reduce(self, x, bound=4):
         """Decide membership of x in the ideal.
@@ -409,9 +434,13 @@ class NormalFormTable:
     (stable, so ties keep discovery order), as F4 sorts its batch before
     eliminating: each new pivot then lies below the older ones, which
     rarely need back-elimination.  The reduced echelon form of a span is
-    unique, so rows and normal forms do not depend on that order.  With
+    unique, so rows and normal forms do not depend on that order.  The
+    generators come from `IdealReducer.targeted_generator`, and each
+    word's `_pivot_key` is memoized for the table's lifetime (it serves
+    as the `Echelon` key and in the sort).  With
     exact-rational coefficients the `Echelon` eliminates on primitive
-    integer rows and hands out the same `Fraction`s.  With
+    integer rows, reducing a vector by the rows whose pivots it carries,
+    and hands out the same `Fraction`s.  With
     symbolic `Scalar` coefficients the generators keep discovery order:
     `Scalar` has no gcd, so the order of row operations sets the size of
     its coefficients (sorted, the symbolic A1 module at weight 3/2 runs
@@ -426,7 +455,8 @@ class NormalFormTable:
         self.alg = reducer.alg
         self.bound = bound
         self.max_rows = max_rows
-        self.rows = Echelon(self.alg.one, self._pivot_key)
+        self._keys = {}         # word -> its `_pivot_key`
+        self.rows = Echelon(self.alg.one, self._key)
         self._ensured = set()   # words whose targeted generators are present
         self.saturated = False
 
@@ -434,8 +464,16 @@ class NormalFormTable:
     def _pivot_key(w):
         return (0 if has_contraction(w) else 1,) + word_key(w)
 
+    def _key(self, w):
+        """`_pivot_key`, memoized for the table's lifetime; the words are
+        those of the table's own closure, which `max_rows` caps."""
+        got = self._keys.get(w)
+        if got is None:
+            got = self._keys[w] = self._pivot_key(w)
+        return got
+
     def _lead_key(self, gen):
-        return min(map(self._pivot_key, gen.terms), default=())
+        return min(map(self._key, gen.terms), default=())
 
     def ensure(self, words):
         """Add the targeted replacement generators for every contraction

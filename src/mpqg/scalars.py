@@ -349,7 +349,8 @@ _P_ONE = LaurentPoly({(): ONE})
 class Scalar:
     """Element of the fraction field of LaurentPoly.
 
-    Representation is not unique (no full gcd); equality cross-multiplies.
+    Representation is not unique (no full gcd); equality compares the
+    numerators when the denominators agree and cross-multiplies otherwise.
     The denominator is kept content-cleared and monic, and an exact-division
     pass collapses the fraction to a polynomial whenever possible, which is
     what the identities in this library cancel down to.
@@ -400,6 +401,8 @@ class Scalar:
             other = Scalar.coerce(other)
         except TypeError:
             return NotImplemented
+        if self.den.terms == other.den.terms:
+            return self.num.terms == other.num.terms
         return (self.num * other.den) == (other.num * self.den)
 
     __hash__ = None

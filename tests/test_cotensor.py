@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.cartan import CartanDatum, ParamMatrix, weight_from_marks
+from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix,
+                         weight_from_marks)
 from mpqg.cotensor import CotensorAlgebra, Word, word_key
 from mpqg.linalg import Echelon, add_into
 from mpqg.scalars import q_factorial, q_int
@@ -149,10 +150,12 @@ def test_product_tail_and_grading_multiplicative():
 
 def test_slot_chain_violation_raises(monkeypatch):
     # a contraction letter must be graded by the product of the two letters
-    # it replaces; X1 is not graded like E0 (x) F0, and in these products
-    # the contraction fills a slot with a letter after it
+    # it replaces; X1 is not graded like E0 (x) F0.  In the first two
+    # products a letter comes before the contraction; in the last the
+    # contraction fills the first slot (the grid edge out of (0, 0))
     for wx, wy in (([("E", 1), ("E", 0)], [("F", 0)]),
-                   ([("E", 0)], [("F", 1), ("F", 0)])):
+                   ([("E", 0)], [("F", 1), ("F", 0)]),
+                   ([("E", 0)], [("F", 0)])):
         alg = _a2()
         rule = alg.alpha[(("E", 0), ("F", 0))]
         monkeypatch.setitem(alg.alpha, (("E", 0), ("F", 0)),
@@ -173,6 +176,32 @@ def test_walk_matches_recursive_oracle(preset_params):
         assert set(got) == set(oracle)
         for w in got:
             assert got[w] == oracle[w], (wx, wy, w)
+
+
+def test_left_tail_factors_out_of_products(preset_params):
+    # (u.k) * v = chi_v(k) shift_k(u * v): each letter b of v meets u's
+    # tail once, by a left action or in a contraction coefficient, so a
+    # factor k there gives chi_b(k) and multiplies every tail by k
+    datum, params = preset_params
+    rng = random.Random(20261019)
+    lam = LatticeVector((Fraction(1),) * datum.n)
+    for alg in (CotensorAlgebra(datum, params),
+                CotensorAlgebra(datum, params, lam)):
+        g = alg.group
+        for _ in range(12):
+            u = _random_word(alg, rng, max_len=3)
+            v = _random_word(alg, rng, max_len=3)
+            if ("V",) in alg.letters:
+                t = rng.randint(0, len(v.letters))
+                v = Word(v.letters[:t] + (("V",),) + v.letters[t:], v.tail)
+            k = g.reduce(tuple(rng.randint(-1, 1) for _ in g.gens))
+            chi = alg.one
+            for b in v.letters:
+                chi = chi * alg.letters[b].char(k)
+            want = {Word(w.letters, g.mul(k, w.tail)): chi * c
+                    for w, c in alg.word_product(u, v).items()}
+            assert alg.word_product(Word(u.letters, g.mul(u.tail, k)),
+                                    v) == want, (u, v, k)
 
 
 def test_associativity_on_letter_triples():

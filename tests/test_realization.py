@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.cartan import CartanDatum, ParamMatrix
+from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix
 from mpqg.cotensor import Word
 from mpqg.realization import (FreeExpr, IdealReducer, NormalFormTable,
                               Realization, e, f, relation_verdict, w, wp)
@@ -289,3 +289,57 @@ def test_free_expr_arithmetic():
     assert y.terms == {}
     z = FreeExpr.one().scale(Fraction(3, 2))
     assert z.terms == {(): Fraction(3, 2)}
+
+
+def _product_formula(reducer, wrd, p):
+    """u * r_i * v as two `Element` products, (u * r_i) * v: the reference
+    for `IdealReducer.targeted_generator`."""
+    alg = reducer.alg
+    prefix = alg.element({Word(wrd.letters[:p], alg.group.identity): alg.one})
+    suffix = alg.element({Word(wrd.letters[p + 1:], wrd.tail): alg.one})
+    return alg.product(alg.product(prefix, reducer.r_elt(wrd.letters[p][1])),
+                       suffix)
+
+
+def _random_contraction_words(alg, rng, tags, count, max_len, extra=()):
+    """Seeded words over tags, each with an X letter and the extra letters
+    inserted at random places, and with a random tail."""
+    xs = [t for t in tags if t[0] == "X"]
+    out = []
+    for _ in range(count):
+        letters = [rng.choice(tags) for _ in range(rng.randint(0, max_len))]
+        for t in (rng.choice(xs),) + tuple(extra):
+            letters.insert(rng.randint(0, len(letters)), t)
+        tail = alg.group.reduce(tuple(rng.randint(-1, 1)
+                                      for _ in alg.group.gens))
+        out.append(Word(tuple(letters), tail))
+    return out
+
+
+def test_targeted_generator_matches_product_formula(preset_params):
+    # every X position of words with E letters, as the membership check
+    # reaches them, and of module-shaped words carrying the weight letter
+    datum, params = preset_params
+    rng = random.Random(20261019)
+    lam = LatticeVector((Fraction(1),) * datum.n)
+    cases = []
+    for real, extra in ((Realization(datum, params), ()),
+                        (Realization(datum, params, lam), (("V",),))):
+        alg = real.alg
+        tags = [t for t in alg.letters if t[0] != "V"]
+        if extra:
+            tags = [t for t in tags if t[0] != "E"]
+        cases.append((IdealReducer(real), _random_contraction_words(
+            alg, rng, tags, 12, 4, extra)))
+    checked = 0
+    for reducer, words in cases:
+        for wrd in words:
+            for p, letter in enumerate(wrd.letters):
+                if letter[0] != "X":
+                    continue
+                got = reducer.targeted_generator(wrd, p).terms
+                want = _product_formula(reducer, wrd, p).terms
+                assert list(got) == list(want), (wrd, p)
+                assert all(got[w] == want[w] for w in want), (wrd, p)
+                checked += 1
+    assert checked >= 24

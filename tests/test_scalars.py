@@ -210,6 +210,43 @@ def test_normalization_idempotent_randomized():
         assert b.num == a.num and b.den == a.den
 
 
+def test_eq_matches_cross_multiplication_randomized():
+    # equal denominators compare numerators, others cross-multiply; the
+    # pairs include equal values over different denominators (a fraction
+    # left unreduced) and unequal values over one denominator
+    rng = random.Random(20261019)
+
+    def cross_equal(x, y):
+        return x.num * y.den == y.num * x.den
+
+    equal_apart = unequal_shared = 0
+    for _ in range(300):
+        a = _random_scalar(rng)
+        h = _random_scalar(rng).num
+        if h.is_zero:
+            continue
+        unreduced = Scalar(a.num * h, a.den * h)
+        shifted = Scalar(a.num + _random_scalar(rng).num, a.den)
+        for x, y in ((a, unreduced), (a, shifted), (unreduced, shifted),
+                     (a, _random_scalar(rng)), (a, a.num)):
+            y = Scalar.coerce(y)
+            assert (x == y) == cross_equal(x, y)
+            assert (y == x) == cross_equal(x, y)
+        assert a == unreduced
+        if a.den.terms != unreduced.den.terms:
+            equal_apart += 1
+        if a.den.terms == shifted.den.terms and not cross_equal(a, shifted):
+            unequal_shared += 1
+    assert equal_apart > 50 and unequal_shared > 50
+    # equal values over different denominators with as many terms
+    q, r = s_var(Q11), s_var(Q12)
+    x = (q + 1) / (r * r + 1)
+    y = ((q + 1) * (r * r - 1)) / (r ** 4 - 1)
+    assert len(x.den.terms) == len(y.den.terms)
+    assert x.den.terms != y.den.terms
+    assert x == y and y == x and x != y + 1
+
+
 def test_division_by_zero_scalar():
     q = s_var(Q11)
     with pytest.raises(ZeroDivisionError):
