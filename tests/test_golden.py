@@ -34,6 +34,10 @@ A2_NUMERIC_MODULE = ("preset = 'A2'\nmode = 'numeric'\n"
                      "weights = [[1, 1]]\n")
 B2_ROOT_OF_UNITY_GRAM = ("preset = 'B2'\nmode = 'root-of-unity'\nell = 5\n"
                          "max_height = 4\n")
+A2_ROOT_OF_UNITY_MODULE = ("preset = 'A2'\nmode = 'root-of-unity'\nell = 5\n"
+                           "weights = [[1, 1]]\n")
+A2_ROOT_OF_UNITY_GRAM = ("preset = 'A2'\nmode = 'root-of-unity'\nell = 5\n"
+                         "max_height = 4\n")
 
 # name -> (argv, config): config is None (defaults), the name of a file in
 # configs/, or the text of an inline configuration.
@@ -46,6 +50,9 @@ RUNS = {
     "a2-pairing-gram": (["pairing", "gram"], None),
     "a2-module": (["module"], None),
     "a2-numeric-module": (["module"], A2_NUMERIC_MODULE),
+    "a2-root-of-unity-module": (["module"], A2_ROOT_OF_UNITY_MODULE),
+    "a2-root-of-unity-pairing-gram": (["pairing", "gram"],
+                                      A2_ROOT_OF_UNITY_GRAM),
     "cfg-a2-symbolic-check-relations": (["check", "relations"],
                                         "a2-symbolic.cfg"),
     "cfg-a2-symbolic-module": (["module"], "a2-symbolic.cfg"),
