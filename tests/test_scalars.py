@@ -346,7 +346,8 @@ def test_no_float_reaches_a_scalar():
     # a rational denominator under a root-of-unity numerator
     r, t = s_var(Q12), s_var(("q", 1, 1))
     val = specialize(q / (r + t), {Q11: RootOfUnity(5), Q12: 2, ("q", 1, 1): 3})
-    assert all(isinstance(c, Fraction) for c in val.coeffs)
+    assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+               for c in val.coeffs)
     assert val * 5 == zeta(5, 1)
 
 
