@@ -26,6 +26,7 @@ CONFIGS = HERE.parent / "configs"
 A1_LADDER = "preset = 'A1'\nweights = [['1/2'], ['1'], ['3/2']]\n"
 A1_HOPF = "preset = 'A1'\nword_length = 3\n"
 G2 = "preset = 'G2'\n"
+G2_GRAM_H5 = "preset = 'G2'\nmax_height = 5\n"
 B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
                    "numeric = {(0, 0): 9, (1, 1): 3, (0, 1): 5}\n"
                    "max_height = 4\n")
@@ -63,6 +64,7 @@ RUNS = {
     "a1-check-hopf": (["check", "hopf"], A1_HOPF),
     "g2-check-relations": (["check", "relations"], G2),
     "g2-pairing-gram": (["pairing", "gram"], G2),
+    "g2-pairing-gram-h5": (["pairing", "gram"], G2_GRAM_H5),
     "g2-smallqg": (["smallqg"], G2),
     "b2-numeric-pairing-gram": (["pairing", "gram"], B2_NUMERIC_GRAM),
     "b2-root-of-unity-pairing-gram": (["pairing", "gram"],
