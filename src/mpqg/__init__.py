@@ -15,7 +15,7 @@ from .cartan import (CartanDatum, LatticeVector, ParamMatrix, coweight_pairing,
 from .cotensor import CotensorAlgebra, Word, word_key
 from .grouplike import Bicharacter, Character, GradingGroup, build_bicharacter
 from .linalg import Matrix
-from .modules import (ClosureError, HighestWeightModule,
+from .modules import (ClosureError, FiniteTypeError, HighestWeightModule,
                       UndecidedReductionError, alcove_check, build_module,
                       coinvariant_project, is_right_coinvariant,
                       root_of_unity_module, weight_denominator)
@@ -31,6 +31,7 @@ __all__ = [
     "Character",
     "ClosureError",
     "CotensorAlgebra",
+    "FiniteTypeError",
     "FreeExpr",
     "GradingGroup",
     "HighestWeightModule",

@@ -34,8 +34,9 @@ from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
                      fundamental_weight, kostant_count, weyl_dim)
 from .cotensor import Word
 from .linalg import add_into
-from .modules import (ClosureError, UndecidedReductionError, alcove_check,
-                      build_module, render_weight, root_of_unity_module)
+from .modules import (ClosureError, FiniteTypeError, UndecidedReductionError,
+                      alcove_check, build_module, render_weight,
+                      root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height
 from .realization import IdealReducer, Realization, relation_verdict
 from .twist import build_twist
@@ -116,7 +117,8 @@ def parse_config_text(text, where="<config>"):
         if parsed is None and DEFAULTS[key] is not None:
             raise ConfigError(
                 f"{where}:{ln}: {key!r} must be a {want.__name__}")
-        if parsed is not None and not isinstance(parsed, want):
+        if parsed is not None and not (
+                _is_int(parsed) if want is int else isinstance(parsed, want)):
             raise ConfigError(
                 f"{where}:{ln}: {key!r} must be a {want.__name__}")
         if key in out:
@@ -125,6 +127,11 @@ def parse_config_text(text, where="<config>"):
     if not any_line:
         raise ConfigError(f"{where}: configuration defines no keys")
     return out
+
+
+def _is_int(x):
+    # bool is an int subclass, but True is not a bound of 1
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _to_fraction(x, what):
@@ -221,7 +228,7 @@ class RunConfig:
             table = {}
             for key, val in self.settings["numeric"].items():
                 if (not isinstance(key, tuple) or len(key) != 2
-                        or not all(isinstance(k, int) for k in key)):
+                        or not all(_is_int(k) for k in key)):
                     raise ConfigError(
                         f"numeric entry key {key!r} must be a pair (i, j)")
                 table[key] = _to_fraction(val, f"numeric entry {key}")
@@ -248,8 +255,8 @@ class RunConfig:
         out = {}
         for key, val in self.settings["offdiag"].items():
             if (not isinstance(key, tuple) or len(key) != 2
-                    or not all(isinstance(k, int) for k in key)
-                    or not isinstance(val, int)):
+                    or not all(_is_int(k) for k in key)
+                    or not _is_int(val)):
                 raise ConfigError(
                     f"offdiag entry {key!r} must map a pair (i, j) to an "
                     "integer exponent")
@@ -264,12 +271,12 @@ class RunConfig:
 
 
 def _run(records, check, inputs, fn):
-    """Append the record of one check; an exhausted reduction search inside
-    it is reported as undecided."""
+    """Append the record of one check; an exhausted search inside it
+    (reduction bound, closure depth) or a datum out of scope is undecided."""
     t0 = time.perf_counter()
     try:
         status, detail = fn()
-    except UndecidedReductionError as ex:
+    except (UndecidedReductionError, ClosureError, FiniteTypeError) as ex:
         status, detail = "undecided", str(ex)
     records.append({
         "check": check,
@@ -511,9 +518,8 @@ class ModuleVerdicts:
     def dimension(self):
         try:
             self.mod = mod = self.build()
-        except ClosureError as ex:
-            # the depth cutoff ended the search, not a wrong answer
-            return "undecided", str(ex)
+        except FiniteTypeError:
+            raise  # out of scope: `_run` reports it undecided
         except ValueError as ex:
             return "fail", str(ex)
         dims = ", ".join(str(d) for _, d in mod.weight_dims())
@@ -662,10 +668,10 @@ def cmd_smallqg(cfg):
         def fn(lam=lam):
             try:
                 inside = alcove_check(datum, lam, cfg.ell)
+            except FiniteTypeError:
+                raise  # out of scope: `_run` reports it undecided
             except ValueError as ex:
-                # out of scope outside finite type, not a wrong answer
-                return ("fail" if datum.is_finite_type()
-                        else "undecided"), str(ex)
+                return "fail", str(ex)
             if not inside:
                 return "pass", "outside the alcove: flagged, no module built"
             verdicts = ModuleVerdicts(partial(_build_module, cfg, lam, True))

@@ -16,14 +16,14 @@ callers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
-from .cotensor import word_key
-from .linalg import Echelon, Matrix, add_into
+from .linalg import Matrix, add_into
 from .realization import (IdealReducer, NormalFormTable, Realization,
-                          has_contraction, relation_exprs)
+                          graded_closure, has_contraction, relation_exprs)
 from .scalars import q_factorial
 
 
@@ -51,6 +51,11 @@ class ClosureError(RuntimeError):
             f"spaces: {names}")
         self.depth = depth
         self.pending = tuple(pending)
+
+
+class FiniteTypeError(ValueError):
+    """The check needs a finite-type datum and met another one: out of its
+    scope, so the verdict is undecided, not a failure."""
 
 
 def weight_denominator(lam) -> int:
@@ -115,29 +120,15 @@ class HighestWeightModule:
         return ((self.lam - mu).height(), tuple(mu.coords))
 
     def _build(self):
-        datum = self.datum
-        self._spans[self.lam] = Echelon(self.alg.one, word_key)
-        self._spans[self.lam].add(self.highest_vector.terms)
-        frontier = [(self.lam, self.highest_vector)]
-        depth = 0
-        while frontier:
+        steps = [(-simple_root(self.datum, i), partial(self.act_lower, i))
+                 for i in range(self.datum.n)]
+        layers = graded_closure(self.alg.one, self.lam, self.highest_vector,
+                                steps, self._spans)
+        for depth, layer in enumerate(layers):
             if depth >= self.max_depth:
-                pending = sorted({mu for mu, _ in frontier},
+                pending = sorted({mu for mu, _, _ in layer},
                                  key=self._weight_key)
                 raise ClosureError(depth, pending)
-            nxt = []
-            for mu, vec in frontier:
-                for i in range(datum.n):
-                    img = self.act_lower(i, vec)
-                    if img.is_zero:
-                        continue
-                    nu = mu - simple_root(datum, i)
-                    spn = self._spans.setdefault(
-                        nu, Echelon(self.alg.one, word_key))
-                    if spn.add(img.terms):
-                        nxt.append((nu, img))
-            frontier = nxt
-            depth += 1
         self.weights = sorted(
             (mu for mu, s in self._spans.items() if s.rows),
             key=self._weight_key)
@@ -366,7 +357,7 @@ def alcove_check(datum, lam, ell):
     """Strict-interior test of a dominant integral weight against the
     order-ell alcove; raises on hypothesis violations."""
     if not datum.is_finite_type():
-        raise ValueError("alcove membership needs a finite-type datum")
+        raise FiniteTypeError("alcove membership needs a finite-type datum")
     ell = int(ell)
     if ell < 3 or ell % 2 == 0:
         raise ValueError("the order must be an odd integer >= 3")

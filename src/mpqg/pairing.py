@@ -16,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .cartan import LatticeVector
+from .cartan import LatticeVector, simple_root
 from .cotensor import word_key
-from .linalg import Echelon, Matrix
-from .realization import Realization
+from .linalg import Matrix
+from .realization import Realization, graded_closure
 
 
 class SkewPairing:
@@ -28,6 +28,15 @@ class SkewPairing:
         self.alg = real.alg
         self.params = real.params
         self.datum = real.datum
+        self._zero = LatticeVector((Fraction(0),) * self.datum.n)
+        # per sign: the graded closure of the half and the layers it built
+        self._halves = {}
+        for sign, gen in (("+", real.e_elt), ("-", real.f_elt)):
+            steps = [(simple_root(self.datum, i),
+                      lambda v, x=gen(i): self.alg.product(v, x))
+                     for i in range(self.datum.n)]
+            self._halves[sign] = (graded_closure(
+                self.alg.one, self._zero, self.alg.unit(), steps, {}), [])
 
     # -- torus-exponent extraction ------------------------------------------------
 
@@ -130,12 +139,9 @@ class SkewPairing:
         columns = []
         seen = set()
         for word in y.terms:
-            fseq = []
-            for letter in word.letters:
-                if letter[0] != "F":
-                    raise ValueError("element leaves the lower half")
-            for letter in word.letters:
-                fseq.append(letter[1])
+            if any(letter[0] != "F" for letter in word.letters):
+                raise ValueError("element leaves the lower half")
+            fseq = [letter[1] for letter in word.letters]
             base = alg.group.element([(("Kp", i), -1) for i in fseq])
             nu_g = alg.group.mul(base, word.tail)
             nu = self._torus_vector(nu_g, "Kp")
@@ -187,48 +193,28 @@ class SkewPairing:
 
     # -- graded bases and Gram matrices ----------------------------------------------
 
-    def monomials_of_weight(self, beta):
-        """All index sequences whose simple-root weights sum to beta."""
-        counts = []
-        for i, c in enumerate(beta.coords):
-            if c.denominator != 1 or c < 0:
-                raise ValueError("weight must lie in the positive root cone")
-            counts.extend([i] * int(c))
-        return _distinct_orders(tuple(counts))
-
     def graded_basis(self, sign, beta):
-        """Monomial index sequences whose realized images are a basis of the
-        graded component of weight beta (sign "+" raising, "-" lowering),
-        found by exact incremental elimination; returns (sequences,
-        elements)."""
-        zero_nu = LatticeVector((Fraction(0),) * self.datum.n)
-        seqs = self.monomials_of_weight(beta)
-        chosen = []
-        elements = []
-        span = Echelon(self.alg.one, word_key)
-        for seq in seqs:
-            if sign == "+":
-                elt = self.realize_upper(seq, zero_nu)
-            elif sign == "-":
-                elt = self.realize_lower(seq, zero_nu)
-            else:
-                raise ValueError("sign must be '+' or '-'")
-            if span.add(elt.terms):
-                chosen.append(seq)
-                elements.append(elt)
-        return chosen, elements
+        """(paths, elements): index paths whose realized products (the unit
+        times e_elt, sign "+", or f_elt, sign "-", along the path) are a
+        basis of the graded component of weight beta, built by the graded
+        closure of the half: degree beta is spanned by (degree beta -
+        alpha_i) times the i-th generator."""
+        if sign not in self._halves:
+            raise ValueError("sign must be '+' or '-'")
+        grown, layers = self._halves[sign]
+        h = beta.height()
+        while len(layers) <= h:
+            layers.append(next(grown, []))
+        found = [(path, x) for mu, path, x in layers[h] if mu == beta]
+        return [path for path, _ in found], [x for _, x in found]
 
     def gram_matrix(self, beta):
         """Gram matrix of the pairing on the graded bases at weight beta:
         rows indexed by the lowering basis, columns by the raising one."""
-        zero_nu = LatticeVector((Fraction(0),) * self.datum.n)
-        zero_mu = zero_nu
         f_basis, _ = self.graded_basis("-", beta)
         e_basis, e_elts = self.graded_basis("+", beta)
-        rows = []
-        for fseq in f_basis:
-            rows.append([self.pair_monomial(fseq, zero_nu, x)
-                         for x in e_elts])
+        rows = [[self.pair_monomial(fseq, self._zero, x) for x in e_elts]
+                for fseq in f_basis]
         return f_basis, e_basis, Matrix(rows)
 
 

@@ -234,6 +234,31 @@ class Realization:
                 for x in relation_exprs(self.datum, self.params, rid)]
 
 
+def graded_closure(one, weight, vec, steps, spans):
+    """The one graded span (highest-weight modules, realized Borel halves):
+    yields layers of (weight, index path, image), seed (weight, (), vec)
+    first, until one adds nothing.  A layer applies each step (shift, act)
+    to each vector the last one added, vector first, then step index, and
+    keeps the images independent of ``spans[weight + shift]`` (`Echelon`s
+    over ``one``, filled in place)."""
+    spans[weight] = Echelon(one, word_key)
+    spans[weight].add(vec.terms)
+    layer = [(weight, (), vec)]
+    while layer:
+        yield layer
+        nxt = []
+        for mu, path, v in layer:
+            for i, (shift, act) in enumerate(steps):
+                img = act(v)
+                if img.is_zero:
+                    continue
+                nu = mu + shift
+                spn = spans.setdefault(nu, Echelon(one, word_key))
+                if spn.add(img.terms):
+                    nxt.append((nu, path + (i,), img))
+        layer = nxt
+
+
 def relation_exprs(datum, params, rid):
     """The defining relation rid as left-hand minus right-hand sides over the
     presented generators, with the constants of the given parameter matrix.

@@ -522,12 +522,9 @@ def q_int(n, v):
     """(n)_v = 1 + v + ... + v^(n-1), the value of (v^n - 1)/(v - 1)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("q_int needs n >= 0")
-    out = None
+    out = v ** 0 - v ** 0
     for k in range(n):
-        p = v ** k
-        out = p if out is None else out + p
-    if out is None:
-        return v ** 0 - v ** 0 if isinstance(v, Scalar) else 0 * v ** 0
+        out = out + v ** k
     return out
 
 
@@ -542,20 +539,12 @@ def q_factorial(n, v):
 
 
 def q_binomial(n, k, v):
-    """Gaussian binomial coefficient at v.
-
-    For symbolic scalars this is the factorial quotient, collapsed to a
-    polynomial by exact division.  For other ring elements (where a
-    q-factorial can vanish, e.g. at roots of unity) the Pascal recurrence
-    binom(n,k) = binom(n-1,k-1) + v^k binom(n-1,k) is used instead.
-    """
+    """Gaussian binomial coefficient at v, by the Pascal recurrence
+    binom(n,k) = binom(n-1,k-1) + v^k binom(n-1,k).  It uses only ring
+    operations, so it is exact on every coefficient type, also where a
+    q-factorial vanishes (roots of unity)."""
     if not isinstance(n, int) or not isinstance(k, int) or k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial out of range: n={n}, k={k}")
-    if isinstance(v, Scalar):
-        res = q_factorial(n, v) / (q_factorial(k, v) * q_factorial(n - k, v))
-        if not res.is_polynomial:
-            raise ArithmeticError("Gaussian binomial failed to collapse")
-        return res
     row = [v ** 0]
     for m in range(1, n + 1):
         new = [v ** 0]

@@ -53,6 +53,13 @@ def test_parse_config_literals_and_comments():
     ("bound = [oops\n", "not a literal"),
     ("bound = 4\nbound = 5\n", "duplicate"),
     ("bound = 'four'\n", "must be a int"),
+    # bool is an int subclass, but True is not a bound of 1
+    ("bound = True\n", "'bound' must be a int"),
+    ("max_height = True\n", "'max_height' must be a int"),
+    ("max_depth = True\n", "'max_depth' must be a int"),
+    ("word_length = False\n", "'word_length' must be a int"),
+    ("seed = False\n", "'seed' must be a int"),
+    ("ell = True\n", "'ell' must be a int"),
 ])
 def test_parse_config_rejections(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -75,6 +82,10 @@ def test_parse_config_rejections(line, fragment):
     "cartan = [[2, -1], [-1, 2]]\n",             # missing symmetrizers
     "weights = [[1, 2, 3]]\n",                   # wrong rank for A2
     "weights = [['1/0']]\n",
+    "bound = True\n",
+    "mode = 'numeric'\nnumeric = {(True, 0): 4}\n",
+    "mode = 'root-of-unity'\noffdiag = {(0, 1): True}\n",
+    "mode = 'root-of-unity'\noffdiag = {(False, 1): 1}\n",
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
@@ -153,6 +164,18 @@ def test_pairing_gram_outside_finite_type_is_undecided(tmp_path, capsys):
     for rec in gram:
         assert rec["status"] == "undecided"
         assert "partition-count oracle" in rec["detail"]
+
+
+def test_module_alcove_outside_finite_type_is_undecided(tmp_path, capsys):
+    # the verdict `smallqg/alcove-module` gives on the same datum: no alcove
+    # outside finite type is out of scope, not a wrong answer
+    cfg = write_config(tmp_path, AFFINE_A1 + (
+        "mode = 'root-of-unity'\nweights = [[1, 1]]\nmax_depth = 3\n"))
+    code, records = run_json(capsys, ["module", "--config", cfg])
+    assert code == 1
+    assert [(r["check"], r["status"], r["detail"]) for r in records] == [
+        ("module/dimension", "undecided",
+         "alcove membership needs a finite-type datum")]
 
 
 def test_module_default_weight(capsys):

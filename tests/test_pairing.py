@@ -2,10 +2,14 @@
 matrices."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, kostant_count
+from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix, kostant_count,
+                         positive_roots)
+from mpqg.cotensor import word_key
+from mpqg.linalg import Echelon
 from mpqg.pairing import SkewPairing, weights_of_height
 from mpqg.realization import Realization
 
@@ -128,6 +132,62 @@ def test_graded_dimensions_match_partition_counts(preset, max_h):
             minus, _ = sp.graded_basis("-", beta)
             assert len(plus) == want, (beta.coords, len(plus), want)
             assert len(minus) == want, (beta.coords, len(minus), want)
+
+
+def enumerated_orders(beta):
+    """Every distinct index order of the weight beta.  Realizing them all
+    and eliminating spans the graded component the slow way; it is the
+    small-case oracle for the graded closure behind `graded_basis`."""
+    letters = [i for i, c in enumerate(beta.coords) for _ in range(int(c))]
+    return sorted(set(permutations(letters)))
+
+
+PARAMS = {
+    "symbolic": ParamMatrix.symbolic,
+    "root-of-unity": lambda datum: ParamMatrix.root_of_unity(datum, 5),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PARAMS))
+@pytest.mark.parametrize("preset", ["A1", "A2", "B2"])
+def test_closure_spans_every_index_order(preset, mode):
+    datum = CartanDatum.preset(preset)
+    sp = SkewPairing(Realization(datum, PARAMS[mode](datum)))
+    zero = lat(*(0,) * datum.n)
+    realize = {"+": sp.realize_upper, "-": sp.realize_lower}
+    for h in range(1, 5):
+        for beta in weights_of_height(datum, h):
+            for sign in "+-":
+                _, elts = sp.graded_basis(sign, beta)
+                closure = Echelon(sp.alg.one, word_key)
+                for x in elts:
+                    assert closure.add(x.terms)
+                enumerated = Echelon(sp.alg.one, word_key)
+                for seq in enumerated_orders(beta):
+                    y = realize[sign](seq, zero)
+                    assert not closure.reduce(y.terms), (sign, seq)
+                    enumerated.add(y.terms)
+                assert len(enumerated) == len(elts), (sign, beta.coords)
+
+
+@pytest.mark.parametrize("preset,top", [("A2", (4, 4)), ("B2", (6, 8))])
+def test_small_borel_halves_reach_top_degree(preset, top):
+    # at ell = 3 each realized half is the small quantum group's, of
+    # dimension 3^N (N positive roots) with a one-dimensional top degree
+    # twice the sum of the positive roots; nothing lies above it
+    datum = CartanDatum.preset(preset)
+    sp = SkewPairing(Realization(datum, ParamMatrix.root_of_unity(datum, 3)))
+    top_height = sum(top)
+    for sign in "+-":
+        dims = {}
+        for h in range(top_height + 2):
+            for beta in weights_of_height(datum, h):
+                paths, _ = sp.graded_basis(sign, beta)
+                if paths:
+                    dims[tuple(beta.coords)] = len(paths)
+        assert sum(dims.values()) == 3 ** len(positive_roots(datum)), sign
+        assert dims[top] == 1, sign
+        assert all(sum(b) < top_height for b in dims if b != top), sign
 
 
 def test_gram_nondegenerate_low_heights():

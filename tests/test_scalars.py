@@ -120,6 +120,20 @@ def test_q_binomial_pascal_recurrence_up_to_12():
                 assert lhs == 1
 
 
+@pytest.mark.parametrize("v", [s_var(V), s_var(V, 2), s_var(V, -3),
+                               s_var(Q11, 3)], ids=["q", "q2", "q-3", "q11^3"])
+def test_q_binomial_matches_factorial_quotient(v):
+    # oracle: the factorial quotient, collapsed to a polynomial by exact
+    # division; the recurrence must give the same canonical terms
+    for n in range(7):
+        for k in range(n + 1):
+            want = q_factorial(n, v) / (q_factorial(k, v)
+                                        * q_factorial(n - k, v))
+            got = q_binomial(n, k, v)
+            assert want.is_polynomial and got.is_polynomial
+            assert got.num.terms == want.num.terms, (n, k)
+
+
 def test_q_binomial_range_errors():
     v = s_var(V)
     with pytest.raises(ValueError):
