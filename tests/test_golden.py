@@ -25,6 +25,8 @@ CONFIGS = HERE.parent / "configs"
 
 A1_LADDER = "preset = 'A1'\nweights = [['1/2'], ['1'], ['3/2']]\n"
 A1_HOPF = "preset = 'A1'\nword_length = 3\n"
+A1_ROOT_OF_UNITY_HOPF = ("preset = 'A1'\nmode = 'root-of-unity'\n"
+                         "word_length = 3\n")
 G2 = "preset = 'G2'\n"
 G2_GRAM_H5 = "preset = 'G2'\nmax_height = 5\n"
 B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
@@ -62,6 +64,7 @@ RUNS = {
     "cfg-b2-numeric-module": (["module"], "b2-numeric.cfg"),
     "a1-ladder-module": (["module"], A1_LADDER),
     "a1-check-hopf": (["check", "hopf"], A1_HOPF),
+    "a1-root-of-unity-check-hopf": (["check", "hopf"], A1_ROOT_OF_UNITY_HOPF),
     "g2-check-relations": (["check", "relations"], G2),
     "g2-pairing-gram": (["pairing", "gram"], G2),
     "g2-pairing-gram-h5": (["pairing", "gram"], G2_GRAM_H5),
