@@ -25,8 +25,8 @@ def add_into(d, terms, c=None):
     appended.  Every sum of word maps goes through it (products,
     coproducts, `Echelon` row operations, antipodes, adjoint actions,
     twists, relation expressions) except the final sum of the product
-    walk in `word_product`, which adds one coefficient per path, and the
-    cross-check oracles."""
+    walk (`CotensorAlgebra._walk`), which adds one coefficient per path,
+    and the cross-check oracles."""
     if c is not None and not c:
         return
     get = d.get

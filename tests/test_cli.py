@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from mpqg import cli
 from mpqg.cli import main, parse_config_text, ConfigError
+from mpqg.cotensor import CotensorAlgebra, Word
+from mpqg.linalg import add_into as linalg_add_into
 from mpqg.modules import HighestWeightModule, UndecidedReductionError
 
 
@@ -138,6 +141,63 @@ def test_hopf_suite_rank_one(tmp_path, capsys):
     names = {rec["check"] for rec in records}
     assert names == {"hopf/coassociativity", "hopf/associativity",
                      "hopf/bialgebra", "hopf/antipode"}
+
+
+def test_hopf_bialgebra_fails_on_a_wrong_product(tmp_path, monkeypatch,
+                                                 capsys):
+    # doubling the contraction coefficient in the one product E0 * F0 (both
+    # tails 1) breaks multiplicativity; scaling the rule in `alg.alpha`
+    # would not, since the law holds for any contraction coefficient
+    real = CotensorAlgebra.word_product
+    e0, f0, x0 = ("E", 0), ("F", 0), ("X", 0)
+
+    def word_product(self, wx, wy):
+        out = real(self, wx, wy)
+        one = self.group.identity
+        if (wx, wy) == (Word((e0,), one), Word((f0,), one)):
+            out = dict(out)
+            out[Word((x0,), one)] = out[Word((x0,), one)] * 2
+        return out
+
+    monkeypatch.setattr(CotensorAlgebra, "word_product", word_product)
+    cfg = write_config(tmp_path, "preset = 'A1'\nword_length = 3\n")
+    code, records = run_json(capsys, ["check", "hopf", "--config", cfg])
+    assert code == 1
+    rec, = (r for r in records if r["check"] == "hopf/bialgebra")
+    assert (rec["status"], rec["detail"]) == (
+        "fail", "coproduct not multiplicative on E0 | tail=1 , "
+        "E0.K'0^-1 (x) F0 | tail=1")
+
+
+def test_hopf_bialgebra_passes_over_cancelled_slices(tmp_path, monkeypatch,
+                                                     capsys):
+    # at q = -1, E0 * E0 = 0: on the pair (E0, E0) the right-hand slice of
+    # the left word E0.K0 gets q + 1 = 0 times E0 and empties, and the law
+    # still holds
+    cancelled = []
+    current = [None]
+    real_run = cli._run
+
+    def run(records, check, inputs, fn):
+        current[0] = check
+        real_run(records, check, inputs, fn)
+
+    def add_into(d, terms, c=None):
+        before = bool(d)
+        linalg_add_into(d, terms, c)
+        if before and not d and current[0] == "hopf/bialgebra":
+            cancelled.append(terms)
+
+    monkeypatch.setattr(cli, "_run", run)
+    monkeypatch.setattr(cli, "add_into", add_into)
+    cfg = write_config(tmp_path, "preset = 'A1'\nmode = 'numeric'\n"
+                                 "numeric = {(0, 0): -1}\nword_length = 2\n")
+    code, records = run_json(capsys, ["check", "hopf", "--config", cfg])
+    assert code == 0
+    rec, = (r for r in records if r["check"] == "hopf/bialgebra")
+    assert (rec["status"], rec["detail"]) == ("pass",
+                                              "676 word pairs, length <= 2")
+    assert cancelled
 
 
 def test_pairing_gram_heights(capsys):
