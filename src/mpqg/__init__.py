@@ -17,7 +17,6 @@ from .grouplike import Bicharacter, Character, GradingGroup, build_bicharacter
 from .linalg import Matrix
 from .modules import (ClosureError, FiniteTypeError, HighestWeightModule,
                       UndecidedReductionError, alcove_check, build_module,
-                      coinvariant_project, is_right_coinvariant,
                       root_of_unity_module, weight_denominator)
 from .pairing import SkewPairing, weights_of_height
 from .realization import (FreeExpr, IdealReducer, NormalFormTable, Realization,
@@ -50,11 +49,9 @@ __all__ = [
     "build_bicharacter",
     "build_module",
     "build_twist",
-    "coinvariant_project",
     "coweight_pairing",
     "e",
     "f",
-    "is_right_coinvariant",
     "kostant_count",
     "positive_roots",
     "q_binomial",

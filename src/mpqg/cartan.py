@@ -192,19 +192,6 @@ def fundamental_weight(datum, i) -> LatticeVector:
     return LatticeVector(sol)
 
 
-def weight_from_marks(datum, marks) -> LatticeVector:
-    """Dominant weight sum m_i varpi_i from nonnegative integer marks."""
-    if len(marks) != datum.n:
-        raise ValueError(f"need {datum.n} marks")
-    if any(int(m) != m or m < 0 for m in marks):
-        raise ValueError("marks must be nonnegative integers")
-    out = LatticeVector((0,) * datum.n)
-    for i, m in enumerate(marks):
-        if m:
-            out = out + int(m) * fundamental_weight(datum, i)
-    return out
-
-
 def positive_roots(datum):
     """All positive roots of a finite-type datum, by closing the simple
     roots under simple reflections."""

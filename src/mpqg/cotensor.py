@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .cartan import simple_root
-from .grouplike import Character, GradingGroup, standard_group
+from .grouplike import Character, standard_group
 from .linalg import add_into
 
 
@@ -219,18 +219,6 @@ class CotensorAlgebra:
 
     def letter_element(self, tag, tail=None):
         return Element(self, {self.word((tag,), tail): self.one})
-
-    def E(self, i):
-        return self.letter_element(("E", i))
-
-    def F(self, i):
-        return self.letter_element(("F", i))
-
-    def X(self, i):
-        return self.letter_element(("X", i))
-
-    def V(self):
-        return self.letter_element(("V",))
 
     # -- gradings and weights --------------------------------------------------
 
@@ -508,12 +496,6 @@ class CotensorAlgebra:
                                self.group_like(g.inv(w.tail)))
         self._anti_cache[w] = res
         return res
-
-    def antipode(self, x):
-        out = {}
-        for w, c in x.terms.items():
-            add_into(out, self.antipode_word(w).terms, c)
-        return self.element(out)
 
     # -- rendering ----------------------------------------------------------------
 

@@ -128,11 +128,6 @@ class CyclotomicElement:
         self.order = order
         self.coeffs = _fold(c, rows)
 
-    @staticmethod
-    def from_rational(order, c):
-        phi = len(reduction_table(order)[0])
-        return _reduced(order, (_rational(c),) + (0,) * (phi - 1))
-
     def _check_order(self, other):
         if other.order != self.order:
             raise ValueError(
@@ -327,12 +322,6 @@ class RootOfUnity:
             raise ValueError("order must be positive")
         self.order = order
         self.exponent = exponent % order
-
-    def value(self, ambient=None):
-        amb = ambient or self.order
-        if amb % self.order:
-            raise ValueError("ambient order must be a multiple of the root order")
-        return zeta(amb, self.exponent * (amb // self.order))
 
     def __repr__(self):
         return f"RootOfUnity({self.order}, {self.exponent})"

@@ -21,10 +21,9 @@ from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
-from .linalg import Matrix, add_into
+from .linalg import Matrix
 from .realization import (IdealReducer, NormalFormTable, Realization,
                           graded_closure, has_contraction, relation_exprs)
-from .scalars import q_factorial
 
 
 def render_weight(mu) -> str:
@@ -109,7 +108,7 @@ class HighestWeightModule:
         # Module words hold at most max_depth lowering letters plus the
         # weight letter; reduction never lengthens them.
         self.table = NormalFormTable(self.reducer, bound=self.max_depth + 2)
-        self.highest_vector = self.alg.V()
+        self.highest_vector = self.alg.letter_element(("V",))
         self._mat_cache = {}
         self._spans = {}
         self._build()
@@ -120,7 +119,7 @@ class HighestWeightModule:
         return ((self.lam - mu).height(), tuple(mu.coords))
 
     def _build(self):
-        steps = [(-simple_root(self.datum, i), partial(self.act_lower, i))
+        steps = [(-simple_root(self.datum, i), partial(self.act, ("f", i)))
                  for i in range(self.datum.n)]
         layers = graded_closure(self.alg.one, self.lam, self.highest_vector,
                                 steps, self._spans)
@@ -140,7 +139,7 @@ class HighestWeightModule:
         for mu in self.weights:
             for vec in self.basis(mu):
                 for i in range(self.datum.n):
-                    img = self.act_lower(i, vec)
+                    img = self.act(("f", i), vec)
                     if img.is_zero:
                         continue
                     spn = self._spans.get(mu - simple_root(self.datum, i))
@@ -186,31 +185,11 @@ class HighestWeightModule:
                     + self.alg.render_word(w))
         return x
 
-    def _act_atom(self, atom, vec):
+    def act(self, atom, vec):
+        """Adjoint action of a presented atom (("e", i), ("f", i), ("w", i,
+        s) or ("wp", i, s)) on a module vector, reduced to its
+        contraction-free representative."""
         return self._reduced(self.real.ad_left(self.real._atom_elt(atom), vec))
-
-    def act_lower(self, i, vec):
-        return self._act_atom(("f", i), vec)
-
-    def act_raise(self, i, vec):
-        return self._act_atom(("e", i), vec)
-
-    # -- closed forms -------------------------------------------------------------
-
-    def lowering_closed_form(self, i, r):
-        """The r-th lowering power of the highest-weight word: factorial at
-        the inverse diagonal parameter times a telescoping product of weight
-        factors on a single chain word."""
-        pm = self.params
-        alg = self.alg
-        qii = pm.entry(i, i)
-        qla = pm.q_pairing(self.lam, simple_root(self.datum, i))
-        qal = pm.q_pairing(simple_root(self.datum, i), self.lam)
-        coeff = q_factorial(r, qii ** -1)
-        for k in range(1, r + 1):
-            coeff = coeff * (qii ** (k - 1) * qla ** -1 - qal)
-        word = alg.word([("F", i)] * r + [("V",)])
-        return alg.element({word: alg.coerce(coeff)})
 
     def nilpotency_threshold(self, i):
         """First r with the r-th lowering power of the highest vector zero."""
@@ -221,7 +200,7 @@ class HighestWeightModule:
                 raise RuntimeError(
                     f"lowering chain at index {i} exceeded the expected "
                     f"threshold {self.marks[i] + 1}")
-            vec = self.act_lower(i, vec)
+            vec = self.act(("f", i), vec)
             r += 1
         return r
 
@@ -243,7 +222,7 @@ class HighestWeightModule:
         if got is not None:
             return got
         target = mu + self._atom_shift(atom)
-        images = [self._act_atom(atom, b) for b in self.basis(mu)]
+        images = [self.act(atom, b) for b in self.basis(mu)]
         if target in self._spans:
             cols = []
             for img in images:
@@ -322,33 +301,6 @@ class HighestWeightModule:
 
 def build_module(datum, params, lam, *, max_depth=None):
     return HighestWeightModule(datum, params, lam, max_depth=max_depth)
-
-
-# -- coinvariants of the degree-zero projection ------------------------------------
-
-def coinvariant_project(alg, x):
-    """a -> sum a_(1) (incl . proj . antipode)(a_(2)), with proj the
-    projection onto the length-zero (group-algebra) part.  Lands in the
-    right-coinvariant subspace and is the identity there."""
-    out = {}
-    for (wa, wb), c in alg.coproduct(x).items():
-        anti = alg.antipode_word(wb)
-        proj = {w: cc for w, cc in anti.terms.items() if not w.letters}
-        if not proj:
-            continue
-        add_into(out, alg.product(alg.element({wa: alg.one}),
-                                  alg.element(proj)).terms, c)
-    return alg.element(out)
-
-
-def is_right_coinvariant(alg, x):
-    """Whether (id (x) proj) applied to the coproduct returns x (x) 1."""
-    got = {}
-    for (wa, wb), c in alg.coproduct(x).items():
-        if not wb.letters:
-            add_into(got, {(wa, wb.tail): c})
-    want = {(w, alg.group.identity): c for w, c in x.terms.items()}
-    return got == want
 
 
 # -- root-of-unity variant ----------------------------------------------------------

@@ -14,10 +14,8 @@ the left) provides an independent evaluation path.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .cartan import LatticeVector, simple_root
-from .cotensor import word_key
 from .linalg import Matrix
 from .realization import Realization, graded_closure
 
@@ -59,11 +57,6 @@ class SkewPairing:
         qii = self.params.entry(i, i)
         return qii / (self.alg.one - qii)
 
-    def _torus_pair(self, mu, nu):
-        """Value on a primed torus element (exponents nu) against an
-        unprimed one (exponents mu)."""
-        return self.params.q_pairing(mu, nu)
-
     # -- recursion on the lowering monomial --------------------------------------
 
     def pair_monomial(self, fseq, nu, x):
@@ -71,8 +64,6 @@ class SkewPairing:
         primed torus element with exponents nu) against an element of the
         upper half."""
         alg = self.alg
-        if not isinstance(nu, LatticeVector):
-            nu = LatticeVector(tuple(Fraction(c) for c in nu))
         out = alg.zero
         for word, c in x.terms.items():
             if len(word.letters) != len(fseq):
@@ -88,7 +79,7 @@ class SkewPairing:
             for i in fseq:
                 val = val * self.base_value(i)
             mu = self._torus_vector(word.tail, "K")
-            out = out + val * self._torus_pair(mu, nu)
+            out = out + val * self.params.q_pairing(mu, nu)
         return out
 
     # -- transposed recursion on the raising monomial -----------------------------
@@ -103,8 +94,6 @@ class SkewPairing:
         lowering letters from the right end implements that.
         """
         alg = self.alg
-        if not isinstance(mu, LatticeVector):
-            mu = LatticeVector(tuple(Fraction(c) for c in mu))
         group = self.alg.group
         if not eseq:
             out = alg.zero
@@ -112,7 +101,7 @@ class SkewPairing:
                 if word.letters:
                     continue
                 nu = self._torus_vector(word.tail, "Kp")
-                out = out + c * self._torus_pair(mu, nu)
+                out = out + c * self.params.q_pairing(mu, nu)
             return out
         j = eseq[0]
         stripped = {}
@@ -128,68 +117,6 @@ class SkewPairing:
             return alg.zero
         return self.base_value(j) * self.pair_transposed(
             rest_elt, eseq[1:], mu)
-
-    # -- pairing of realized elements ----------------------------------------------
-
-    def decompose_lower(self, y):
-        """Write an element of the lower half as a combination of realized
-        lowering monomials; returns a list of ((fseq, nu), coeff)."""
-        alg = self.alg
-        monos = []
-        columns = []
-        seen = set()
-        for word in y.terms:
-            if any(letter[0] != "F" for letter in word.letters):
-                raise ValueError("element leaves the lower half")
-            fseq = [letter[1] for letter in word.letters]
-            base = alg.group.element([(("Kp", i), -1) for i in fseq])
-            nu_g = alg.group.mul(base, word.tail)
-            nu = self._torus_vector(nu_g, "Kp")
-            for seq in _distinct_orders(tuple(sorted(fseq))):
-                key = (seq, nu.coords)
-                if key in seen:
-                    continue
-                seen.add(key)
-                monos.append((seq, nu))
-                columns.append(self.realize_lower(seq, nu))
-        if not columns:
-            return []
-        support = sorted(set(y.terms).union(*(col.terms for col in columns)),
-                         key=word_key)
-        rows = [[col.terms.get(w, alg.zero) for col in columns]
-                for w in support]
-        sol = Matrix(rows).solve([y.terms.get(w, alg.zero) for w in support])
-        if sol is None:
-            raise ValueError("element is not a combination of realized "
-                             "lowering monomials")
-        return [(monos[k], c) for k, c in enumerate(sol) if c]
-
-    def realize_lower(self, fseq, nu):
-        """Realized image of the lowering monomial f_seq times the primed
-        torus element with exponents nu."""
-        alg = self.alg
-        out = alg.unit()
-        for i in fseq:
-            out = alg.product(out, self.real.f_elt(i))
-        tail = alg.group.element(
-            [(("Kp", i), _int_exp(c)) for i, c in enumerate(nu.coords)])
-        return alg.product(out, alg.group_like(tail))
-
-    def realize_upper(self, eseq, mu):
-        alg = self.alg
-        out = alg.unit()
-        for j in eseq:
-            out = alg.product(out, self.real.e_elt(j))
-        tail = alg.group.element(
-            [(("K", i), _int_exp(c)) for i, c in enumerate(mu.coords)])
-        return alg.product(out, alg.group_like(tail))
-
-    def pair(self, y, x):
-        """Pairing of realized elements: lower-half y against upper-half x."""
-        out = self.alg.zero
-        for (fseq, nu), c in self.decompose_lower(y):
-            out = out + c * self.pair_monomial(fseq, nu, x)
-        return out
 
     # -- graded bases and Gram matrices ----------------------------------------------
 
@@ -216,18 +143,6 @@ class SkewPairing:
         rows = [[self.pair_monomial(fseq, self._zero, x) for x in e_elts]
                 for fseq in f_basis]
         return f_basis, e_basis, Matrix(rows)
-
-
-def _int_exp(c):
-    c = Fraction(c)
-    if c.denominator != 1:
-        raise ValueError("torus exponents must be integers")
-    return int(c)
-
-
-def _distinct_orders(items):
-    """All distinct orderings of a multiset, as a sorted list of tuples."""
-    return sorted(set(permutations(items)))
 
 
 def weights_of_height(datum, h):

@@ -99,7 +99,7 @@ class Realization:
     # -- generator images -------------------------------------------------------
 
     def e_elt(self, i):
-        return self.alg.E(i)
+        return self.alg.letter_element(("E", i))
 
     def f_elt(self, i):
         """Image of the lowering generator: lowering letter with torus tail."""
@@ -332,15 +332,6 @@ class IdealReducer:
 
     def __init__(self, realization):
         self.alg = realization.alg
-
-    def r_elt(self, i):
-        alg = self.alg
-        g = alg.group
-        return alg.element({
-            alg.word([("X", i)]): alg.one,
-            Word((), _kkp(g, i)): -alg.one,
-            Word((), g.identity): alg.one,
-        })
 
     # -- fast path ----------------------------------------------------------------
 

@@ -389,10 +389,6 @@ class Scalar:
     def is_zero(self):
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self):
-        return self.den.is_one
-
     def __bool__(self):
         return not self.num.is_zero
 

@@ -55,13 +55,6 @@ class TwistContext:
                 add_into(out, alg.word_product(wx, wy), cx * cy * s)
         return alg.element(out)
 
-    def twisted_action(self, h, tag):
-        """Scalar by which the group element h acts on the given letter in
-        the twisted module structure."""
-        data = self.alg.letters[tag]
-        g = data.grading
-        return (self.sigma(h, g) * self.sigma_inv(g, h) * data.char(h))
-
     # -- comparison map ----------------------------------------------------------------
 
     def phi_scalar(self, w):

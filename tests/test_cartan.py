@@ -16,7 +16,6 @@ from mpqg.cartan import (
     rho,
     simple_root,
     sym_form,
-    weight_from_marks,
     weyl_dim,
 )
 from mpqg.cyclotomic import zeta
@@ -24,6 +23,14 @@ from mpqg.scalars import Scalar
 
 
 ALL_PRESETS = ["A1", "A1xA1", "A2", "B2", "G2"]
+
+
+def weight_from_marks(datum, marks):
+    """Dominant weight sum m_i varpi_i from nonnegative integer marks."""
+    out = LatticeVector((0,) * datum.n)
+    for i, m in enumerate(marks):
+        out = out + m * fundamental_weight(datum, i)
+    return out
 
 
 def test_preset_validation():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix,
-                         weight_from_marks)
+                         fundamental_weight)
 from mpqg.cotensor import CotensorAlgebra, Word, word_key
 from mpqg.linalg import Echelon, add_into
 from mpqg.scalars import q_factorial, q_int
@@ -21,6 +21,10 @@ def q(alg, i, j):
     return alg.params.entry(i, j)
 
 
+def _letter(alg, tag, i):
+    return alg.letter_element((tag, i))
+
+
 def test_coproduct_group_like():
     alg = _a2()
     k = alg.group.element([(("K", 0), 2), (("Kp", 1), -1)])
@@ -33,7 +37,7 @@ def test_coproduct_group_like():
 
 def test_coproduct_single_letter():
     alg = _a2()
-    e0 = alg.E(0)
+    e0 = _letter(alg, "E", 0)
     cp = alg.coproduct(e0)
     kw = Word((), alg.group.basis(("K", 0)))
     ew = alg.word([("E", 0)])
@@ -79,18 +83,18 @@ def test_counit_laws():
 def test_product_group_times_letter():
     alg = _a2()
     ki = alg.group.basis(("K", 0))
-    out = alg.product(alg.group_like(ki), alg.E(1))
+    out = alg.product(alg.group_like(ki), _letter(alg, "E", 1))
     expect = alg.element({alg.word([("E", 1)], ki): q(alg, 0, 1)})
     assert out == expect
     # right action just extends the tail
-    out = alg.product(alg.E(1), alg.group_like(ki))
+    out = alg.product(_letter(alg, "E", 1), alg.group_like(ki))
     assert out == alg.element({alg.word([("E", 1)], ki): alg.one})
 
 
 def test_product_e_times_f_same_index():
     alg = _a2()
     g = alg.group
-    out = alg.product(alg.E(0), alg.F(0))
+    out = alg.product(_letter(alg, "E", 0), _letter(alg, "F", 0))
     coeff = q(alg, 0, 0) / (q(alg, 0, 0) - alg.one)
     expect = alg.element({
         alg.word([("E", 0), ("F", 0)]): alg.one,
@@ -105,7 +109,7 @@ def test_product_e_times_f_same_index():
 
 def test_product_e_times_f_different_index():
     alg = _a2()
-    out = alg.product(alg.E(0), alg.F(1))
+    out = alg.product(_letter(alg, "E", 0), _letter(alg, "F", 1))
     expect = alg.element({
         alg.word([("E", 0), ("F", 1)]): alg.one,
         alg.word([("F", 1), ("E", 0)]): q(alg, 0, 1) ** -1,
@@ -115,7 +119,7 @@ def test_product_e_times_f_different_index():
 
 def test_product_e_times_e():
     alg = _a2()
-    out = alg.product(alg.E(0), alg.E(1))
+    out = alg.product(_letter(alg, "E", 0), _letter(alg, "E", 1))
     expect = alg.element({
         alg.word([("E", 0), ("E", 1)]): alg.one,
         alg.word([("E", 1), ("E", 0)]): q(alg, 0, 1),
@@ -129,7 +133,7 @@ def test_contraction_transfer_coefficient():
     alg = _a2()
     k = alg.group.basis(("K", 0))
     x = alg.element({alg.word([("E", 0)], k): alg.one})
-    y = alg.F(0)
+    y = _letter(alg, "F", 0)
     out = alg.product(x, y)
     c = (q(alg, 0, 0) / (q(alg, 0, 0) - alg.one)) * q(alg, 0, 0) ** -1
     assert out.terms[alg.word([("X", 0)], k)] == c
@@ -212,9 +216,10 @@ def test_left_tail_factors_out_of_products(preset_params):
 
 def test_associativity_on_letter_triples():
     alg = _a2()
-    singles = [alg.E(0), alg.E(1), alg.F(0), alg.F(1), alg.X(0),
-               alg.group_like(alg.group.basis(("K", 1))),
-               alg.group_like(alg.group.basis(("Kp", 0), -1))]
+    singles = [_letter(alg, tag, i) for tag in "EF" for i in (0, 1)]
+    singles += [_letter(alg, "X", 0),
+                alg.group_like(alg.group.basis(("K", 1))),
+                alg.group_like(alg.group.basis(("Kp", 0), -1))]
     for x in singles:
         for y in singles:
             for z in singles:
@@ -274,14 +279,13 @@ def test_antipode_group_like_and_letters():
     alg = _a2()
     g = alg.group
     k = g.element([(("K", 0), 2), (("Kp", 1), -1)])
-    assert alg.antipode(alg.group_like(k)) == alg.group_like(g.inv(k))
-    s = alg.antipode(alg.E(0))
+    assert alg.antipode_word(Word((), k)) == alg.group_like(g.inv(k))
+    s = alg.antipode_word(alg.word([("E", 0)]))
     expect = alg.element({alg.word([("E", 0)], g.basis(("K", 0), -1)):
                           -(q(alg, 0, 0) ** -1)})
     assert s == expect
     # lowering letter with its torus tail: the presented-side generator
-    f = alg.element({alg.word([("F", 0)], g.basis(("Kp", 0))): alg.one})
-    sf = alg.antipode(f)
+    sf = alg.antipode_word(alg.word([("F", 0)], g.basis(("Kp", 0))))
     assert sf == alg.element({alg.word([("F", 0)]): -alg.one})
 
 
@@ -316,7 +320,7 @@ def test_power_closed_forms():
     alg = _a2()
     qv = q(alg, 0, 0)
     for r in range(5):
-        ew = alg.power(alg.E(0), r)
+        ew = alg.power(_letter(alg, "E", 0), r)
         expect = alg.element({
             alg.word([("E", 0)] * r): q_factorial(r, qv)
         })
@@ -330,7 +334,7 @@ def test_power_closed_forms():
         })
         assert fw == expect
     # sanity on the q-integer coefficient at r=2
-    two = alg.power(alg.E(0), 2)
+    two = alg.power(_letter(alg, "E", 0), 2)
     coeff, = two.terms.values()
     assert coeff == q_int(2, qv)
 
@@ -349,9 +353,9 @@ def test_weight_grading_additive_under_product():
 
 def test_highest_weight_letter_machinery():
     datum = CartanDatum.preset("A2")
-    lam = weight_from_marks(datum, (1, 0))
+    lam = fundamental_weight(datum, 0)
     alg = CotensorAlgebra(datum, ParamMatrix.symbolic(datum), lam)
-    v = alg.V()
+    v = alg.letter_element(("V",))
     g = alg.group
     # group-like coproduct tail and the torus eigenvalue
     cp = alg.coproduct(v)
@@ -367,9 +371,9 @@ def test_highest_weight_letter_machinery():
 
 def test_render_is_deterministic():
     alg = _a2()
-    x = alg.product(alg.E(0), alg.F(0))
+    x = alg.product(_letter(alg, "E", 0), _letter(alg, "F", 0))
     r1 = alg.render(x)
-    r2 = alg.render(alg.product(alg.E(0), alg.F(0)))
+    r2 = alg.render(alg.product(_letter(alg, "E", 0), _letter(alg, "F", 0)))
     assert r1 == r2
     assert "tail=" in r1
 

@@ -11,10 +11,10 @@ from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, simple_root, we
 from mpqg.cotensor import Word, word_key
 from mpqg.linalg import Echelon, add_into
 from mpqg.modules import (ClosureError, UndecidedReductionError, alcove_check,
-                          build_module, coinvariant_project,
-                          is_right_coinvariant, root_of_unity_module,
+                          build_module, root_of_unity_module,
                           weight_denominator)
 from mpqg.realization import NormalFormTable, e, f, has_contraction
+from mpqg.scalars import q_factorial
 
 
 A1 = CartanDatum.preset("A1")
@@ -72,6 +72,49 @@ def test_weight_denominator():
     assert weight_denominator(LatticeVector((Fraction(2, 3), Fraction(1, 3)))) == 9
 
 
+# -- helpers: the lowering closed form and the coinvariant projection ---------------
+
+
+def lowering_closed_form(mod, i, r):
+    """The r-th lowering power of the highest-weight word: factorial at the
+    inverse diagonal parameter times a telescoping product of weight factors
+    on a single chain word."""
+    pm, alg = mod.params, mod.alg
+    qii = pm.entry(i, i)
+    qla = pm.q_pairing(mod.lam, simple_root(mod.datum, i))
+    qal = pm.q_pairing(simple_root(mod.datum, i), mod.lam)
+    coeff = q_factorial(r, qii ** -1)
+    for k in range(1, r + 1):
+        coeff = coeff * (qii ** (k - 1) * qla ** -1 - qal)
+    word = alg.word([("F", i)] * r + [("V",)])
+    return alg.element({word: alg.coerce(coeff)})
+
+
+def coinvariant_project(alg, x):
+    """a -> sum a_(1) (incl . proj . antipode)(a_(2)), with proj the
+    projection onto the length-zero (group-algebra) part.  Lands in the
+    right-coinvariant subspace and is the identity there."""
+    out = {}
+    for (wa, wb), c in alg.coproduct(x).items():
+        anti = alg.antipode_word(wb)
+        proj = {w: cc for w, cc in anti.terms.items() if not w.letters}
+        if not proj:
+            continue
+        add_into(out, alg.product(alg.element({wa: alg.one}),
+                                  alg.element(proj)).terms, c)
+    return alg.element(out)
+
+
+def is_right_coinvariant(alg, x):
+    """Whether (id (x) proj) applied to the coproduct returns x (x) 1."""
+    got = {}
+    for (wa, wb), c in alg.coproduct(x).items():
+        if not wb.letters:
+            add_into(got, {(wa, wb.tail): c})
+    want = {(w, alg.group.identity): c for w, c in x.terms.items()}
+    return got == want
+
+
 # -- highest-weight vector ----------------------------------------------------------
 
 
@@ -81,10 +124,10 @@ def test_highest_vector_axioms():
     v = mod.highest_vector
     lam = mod.lam
     for i in range(2):
-        assert mod.act_raise(i, v).is_zero
+        assert mod.act(("e", i), v).is_zero
         ai = simple_root(A2, i)
-        assert mod._act_atom(("w", i, 1), v) == v.scale(pm.q_pairing(ai, lam))
-        assert mod._act_atom(("wp", i, 1), v) == \
+        assert mod.act(("w", i, 1), v) == v.scale(pm.q_pairing(ai, lam))
+        assert mod.act(("wp", i, 1), v) == \
             v.scale(pm.q_pairing(lam, ai) ** -1)
     assert {LatticeVector(alg.weight_of_word(w)) for w in v.terms} == {lam}
     # coproduct of the highest-weight word: grading part plus bare-word part
@@ -112,22 +155,22 @@ def test_first_lowering_matches_hand_value():
         ai = simple_root(A2, i)
         coeff = pm.q_pairing(mod.lam, ai) ** -1 - pm.q_pairing(ai, mod.lam)
         want = alg.element({alg.word([("F", i), ("V",)]): coeff})
-        assert mod.act_lower(i, mod.highest_vector) == want
-        assert mod.lowering_closed_form(i, 1) == want
+        assert mod.act(("f", i), mod.highest_vector) == want
+        assert lowering_closed_form(mod, i, 1) == want
 
 
 def test_lowering_closed_form_and_threshold():
     mod = a1_module(3)
     vec = mod.highest_vector
     for r in range(5):
-        assert vec == mod.lowering_closed_form(0, r), f"r={r}"
-        vec = mod.act_lower(0, vec)
+        assert vec == lowering_closed_form(mod, 0, r), f"r={r}"
+        vec = mod.act(("f", 0), vec)
     assert mod.nilpotency_threshold(0) == 4
     # the weight-compatibility constraint forces the telescoping factor to
     # vanish exactly at the threshold, identically in the parameters
     short = a1_module(1)
-    assert not short.lowering_closed_form(0, 1).is_zero
-    assert short.lowering_closed_form(0, 2).is_zero
+    assert not lowering_closed_form(short, 0, 1).is_zero
+    assert lowering_closed_form(short, 0, 2).is_zero
     assert short.nilpotency_threshold(0) == 2
 
 
@@ -270,7 +313,7 @@ def _adjoint_act(mod, expr, vec):
     for mono, coeff in expr.terms.items():
         acc = vec
         for atom in reversed(mono):
-            acc = mod._act_atom(atom, acc)
+            acc = mod.act(atom, acc)
             if acc.is_zero:
                 break
         add_into(out, acc.terms, mod.alg.coerce(coeff))
@@ -281,7 +324,7 @@ def test_adjoint_act_matches_wholesale_adjoint():
     mod = a2_module((Fraction(2, 3), Fraction(1, 3)))
     real = mod.real
     exprs = [e(0) * f(0) - f(0) * e(0), f(1) * f(0), e(1) * f(1) * f(0)]
-    vecs = [mod.highest_vector, mod.act_lower(0, mod.highest_vector)]
+    vecs = [mod.highest_vector, mod.act(("f", 0), mod.highest_vector)]
     for expr in exprs:
         for vec in vecs:
             stepwise = _adjoint_act(mod, expr, vec)
@@ -385,7 +428,7 @@ def test_undecided_reduction_is_an_error_not_a_wrong_answer():
             deep = tight.basis(mu)[0]
     assert deep is not None
     with pytest.raises(UndecidedReductionError, match="bound 2$") as err:
-        tight.act_raise(0, deep)
+        tight.act(("e", 0), deep)
     assert err.value.bound == 2
 
 
