@@ -1,7 +1,9 @@
 """Symmetrizable Cartan data, root/weight lattice vectors, and the parameter
 matrices that drive every coefficient in the library.
 
-A parameter matrix q = (q_ij) must satisfy the compatibility constraint
+A Cartan datum takes integer entries only (a float, a string or a bool is
+refused, not rounded).  A parameter matrix q = (q_ij) must satisfy the
+compatibility constraint
 
     q_ij * q_ji = q_ii ^ a_ij        for all i, j,
 
@@ -9,19 +11,26 @@ which is checked exactly at construction in every mode.
 
 Because the constraint holds for every ordered pair, it forces
 q_ii^a_ij = q_jj^a_ji: within a connected component of the Cartan graph the
-diagonal entries are powers of one shared parameter.  The modes are:
+diagonal entries are powers of one shared parameter.  A mode fixes the
+diagonal and the free entries q_ij with i < j; except in the two modes with
+a closed form, ``ParamMatrix._completed`` alone derives the entries below
+the diagonal as q_ji = q_ii^a_ij / q_ij, refusing a zero free entry.  The
+modes are:
 
 * ``symbolic``        -- per component a diagonal variable (named after the
                          component's representative index) with
                          q_ii = rep^(d_i/d_rep); off-diagonal q_ij free for
-                         i<j; q_ji derived.
+                         i<j.
 * ``one_parameter``   -- q_ij = q ^ (d_i a_ij) in a single variable q.
 * ``mixed``           -- q_ii = q^(2 d_i), off-diagonal free (twist base).
-* ``numeric``         -- explicit Fractions for the free entries (the caller
+* ``numeric``         -- explicit Fractions for the diagonal and the free
+                         entries (a missing free entry is 1; the caller
                          must supply a consistent diagonal).
 * ``root_of_unity``   -- q_ii of uniform odd multiplicative order ell, exact
                          cyclotomic values in a common ambient order
-                         ell * weight_denominator.
+                         ell * weight_denominator; the lower triangle is
+                         derived on the exponents of zeta, which ``power``
+                         reads.
 """
 
 from __future__ import annotations
@@ -48,8 +57,12 @@ class CartanDatum:
     __slots__ = ("a", "d", "n", "name")
 
     def __init__(self, a, d, name=None):
-        a = tuple(tuple(int(x) for x in row) for row in a)
-        d = tuple(int(x) for x in d)
+        a = tuple(tuple(row) for row in a)
+        d = tuple(d)
+        # type, not isinstance: True is not an entry of 1
+        if any(type(x) is not int for x in d + sum(a, ())):
+            raise ValueError("Cartan matrix and symmetrizer entries must be "
+                             "integers")
         n = len(a)
         if n == 0 or any(len(row) != n for row in a):
             raise ValueError("Cartan matrix must be square and nonempty")
@@ -292,23 +305,16 @@ class ParamMatrix:
 
     @staticmethod
     def symbolic(datum):
-        entries = {}
+        diag = {}
         for comp in datum.components():
             rep = min(comp, key=lambda i: (datum.d[i], i))
             base = Scalar.variable(("q", rep, rep))
             for i in comp:
                 e = Fraction(datum.d[i], datum.d[rep])
-                entries[(i, i)] = _scalar_fract_power(base, e)
-        for i in range(datum.n):
-            for j in range(datum.n):
-                if i < j:
-                    entries[(i, j)] = Scalar.variable(("q", i, j))
-                elif i > j:
-                    entries[(i, j)] = (
-                        entries[(j, j)] ** datum.a[j][i]
-                        * Scalar.variable(("q", j, i)) ** -1
-                    )
-        return ParamMatrix(datum, "symbolic", entries)
+                diag[i] = _scalar_fract_power(base, e)
+        upper = {(i, j): Scalar.variable(("q", i, j))
+                 for i in range(datum.n) for j in range(i + 1, datum.n)}
+        return ParamMatrix._completed(datum, "symbolic", diag, upper)
 
     @staticmethod
     def one_parameter(datum):
@@ -325,38 +331,35 @@ class ParamMatrix:
         """q_ii = q^(2 d_i); off-diagonal entries free (i<j).  The base of
         the one-parameter cocycle twist."""
         q = Scalar.variable(("q",))
-        entries = {}
-        for i in range(datum.n):
-            entries[(i, i)] = q ** (2 * datum.d[i])
-        for i in range(datum.n):
-            for j in range(datum.n):
-                if i < j:
-                    entries[(i, j)] = Scalar.variable(("q", i, j))
-                elif i > j:
-                    entries[(i, j)] = (
-                        q ** (2 * datum.d[j] * datum.a[j][i])
-                        * Scalar.variable(("q", j, i)) ** -1
-                    )
-        return ParamMatrix(datum, "mixed", entries)
+        diag = [q ** (2 * d) for d in datum.d]
+        upper = {(i, j): Scalar.variable(("q", i, j))
+                 for i in range(datum.n) for j in range(i + 1, datum.n)}
+        return ParamMatrix._completed(datum, "mixed", diag, upper)
 
     @staticmethod
     def numeric(datum, assignment):
-        """assignment: {(i, j): Fraction} for i <= j free entries."""
-        entries = {}
-        for i in range(datum.n):
-            v = Fraction(assignment[(i, i)])
+        """assignment: {(i, j): Fraction} for i <= j free entries; a missing
+        off-diagonal one is 1."""
+        diag = [Fraction(assignment[(i, i)]) for i in range(datum.n)]
+        for i, v in enumerate(diag):
             if not v or v == 1:
                 raise ValueError(f"q_{i}{i} must be invertible and != 1")
-            entries[(i, i)] = v
-        for i in range(datum.n):
-            for j in range(datum.n):
-                if i < j:
-                    entries[(i, j)] = Fraction(assignment.get((i, j), 1))
-                elif i > j:
-                    entries[(i, j)] = (
-                        entries[(j, j)] ** datum.a[j][i] / entries[(j, i)]
-                    )
-        return ParamMatrix(datum, "numeric", entries)
+        upper = {(i, j): Fraction(assignment.get((i, j), 1))
+                 for i in range(datum.n) for j in range(i + 1, datum.n)}
+        return ParamMatrix._completed(datum, "numeric", diag, upper)
+
+    @staticmethod
+    def _completed(datum, mode, diag, upper):
+        """The matrix with diagonal ``diag[i]`` and free entries
+        ``upper[(i, j)]`` for i < j; below the diagonal the constraint
+        gives q_ji = q_ii^a_ij / q_ij."""
+        entries = {(i, i): diag[i] for i in range(datum.n)}
+        for (i, j), q in upper.items():
+            if not q:
+                raise ValueError(f"q_{i}{j} must be invertible")
+            entries[(i, j)] = q
+            entries[(j, i)] = diag[i] ** datum.a[i][j] * q ** -1
+        return ParamMatrix(datum, mode, entries)
 
     @staticmethod
     def root_of_unity(datum, ell, *, weight_denominator=1, offdiag=None):

@@ -48,46 +48,28 @@ class ConfigError(Exception):
 
 # -- configuration -------------------------------------------------------------------
 
-_MODES = ("symbolic", "one-parameter", "mixed-diagonal", "numeric",
-          "root-of-unity")
-
-DEFAULTS = {
-    "preset": "A2",
-    "cartan": None,
-    "symmetrizers": None,
-    "mode": "symbolic",
-    "numeric": None,
-    "ell": 5,
-    "offdiag": None,
-    "weights": None,
-    "qhat": "one-parameter",
-    "bound": 4,
-    "max_height": 3,
-    "max_depth": None,
-    "word_length": 3,
-    "seed": 20260819,
-    "format": "json",
-    "timings": False,
+# key -> (type, default, allowed values or None)
+_KEYS = {
+    "preset": (str, "A2", None),
+    "cartan": (list, None, None),
+    "symmetrizers": (list, None, None),
+    "mode": (str, "symbolic", ("symbolic", "one-parameter", "mixed-diagonal",
+                               "numeric", "root-of-unity")),
+    "numeric": (dict, None, None),
+    "ell": (int, 5, None),
+    "offdiag": (dict, None, None),
+    "weights": (list, None, None),
+    "qhat": (str, "one-parameter", ("one-parameter", "identity")),
+    "bound": (int, 4, None),
+    "max_height": (int, 3, None),
+    "max_depth": (int, None, None),
+    "word_length": (int, 3, None),
+    "seed": (int, 20260819, None),
+    "format": (str, "json", ("json", "table")),
+    "timings": (bool, False, None),
 }
 
-_KEY_TYPES = {
-    "preset": str,
-    "cartan": list,
-    "symmetrizers": list,
-    "mode": str,
-    "numeric": dict,
-    "ell": int,
-    "offdiag": dict,
-    "weights": list,
-    "qhat": str,
-    "bound": int,
-    "max_height": int,
-    "max_depth": int,
-    "word_length": int,
-    "seed": int,
-    "format": str,
-    "timings": bool,
-}
+DEFAULTS = {key: default for key, (_, default, _) in _KEYS.items()}
 
 
 def parse_config_text(text, where="<config>"):
@@ -104,7 +86,7 @@ def parse_config_text(text, where="<config>"):
         key = key.strip()
         if not sep or not key:
             raise ConfigError(f"{where}:{ln}: expected 'key = value'")
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{where}:{ln}: unknown key {key!r}")
         val = val.strip()
         try:
@@ -113,8 +95,8 @@ def parse_config_text(text, where="<config>"):
         except (ValueError, SyntaxError):
             raise ConfigError(
                 f"{where}:{ln}: value for {key!r} is not a literal")
-        want = _KEY_TYPES[key]
-        if parsed is None and DEFAULTS[key] is not None:
+        want, default, _ = _KEYS[key]
+        if parsed is None and default is not None:
             raise ConfigError(
                 f"{where}:{ln}: {key!r} must be a {want.__name__}")
         if parsed is not None and not (
@@ -162,11 +144,12 @@ class RunConfig:
             except (KeyError, ValueError) as ex:
                 raise ConfigError(str(ex))
             self.datum_label = preset
-        mode = settings["mode"]
-        if mode not in _MODES:
-            raise ConfigError(
-                f"mode must be one of {', '.join(_MODES)}; got {mode!r}")
-        self.mode = mode
+        for key, (_, _, allowed) in _KEYS.items():
+            if allowed is not None and settings[key] not in allowed:
+                raise ConfigError(
+                    f"{key!r} must be one of {', '.join(allowed)}; "
+                    f"got {settings[key]!r}")
+        self.mode = mode = settings["mode"]
         if settings["numeric"] is not None and mode != "numeric":
             raise ConfigError("'numeric' entries require mode = 'numeric'")
         if mode == "numeric" and settings["numeric"] is None:
@@ -184,11 +167,7 @@ class RunConfig:
         self.seed = settings["seed"]
         self.ell = ell
         self.qhat = settings["qhat"]
-        if self.qhat not in ("one-parameter", "identity"):
-            raise ConfigError("'qhat' must be 'one-parameter' or 'identity'")
         self.format = settings["format"]
-        if self.format not in ("json", "table"):
-            raise ConfigError("'format' must be 'json' or 'table'")
         self.timings = bool(settings["timings"])
         self.weights = [self._parse_weight(c) for c in settings["weights"]] \
             if settings["weights"] is not None else None
@@ -218,20 +197,14 @@ class RunConfig:
 
     def make_params(self):
         datum = self.datum
-        if self.mode == "symbolic":
-            return ParamMatrix.symbolic(datum)
-        if self.mode == "one-parameter":
-            return ParamMatrix.one_parameter(datum)
-        if self.mode == "mixed-diagonal":
-            return ParamMatrix.mixed_diagonal(datum)
+        plain = {"symbolic": ParamMatrix.symbolic,
+                 "one-parameter": ParamMatrix.one_parameter,
+                 "mixed-diagonal": ParamMatrix.mixed_diagonal}.get(self.mode)
+        if plain is not None:
+            return plain(datum)
         if self.mode == "numeric":
-            table = {}
-            for key, val in self.settings["numeric"].items():
-                if (not isinstance(key, tuple) or len(key) != 2
-                        or not all(_is_int(k) for k in key)):
-                    raise ConfigError(
-                        f"numeric entry key {key!r} must be a pair (i, j)")
-                table[key] = _to_fraction(val, f"numeric entry {key}")
+            table = {pair: _to_fraction(val, f"numeric entry {pair}")
+                     for pair, val in self._index_pairs("numeric", True)}
             try:
                 return ParamMatrix.numeric(datum, table)
             except (KeyError, ValueError) as ex:
@@ -252,16 +225,26 @@ class RunConfig:
         None; other parameter modes never consult it."""
         if self.settings["offdiag"] is None:
             return None
-        out = {}
-        for key, val in self.settings["offdiag"].items():
-            if (not isinstance(key, tuple) or len(key) != 2
-                    or not all(_is_int(k) for k in key)
-                    or not _is_int(val)):
+        for pair, val in self._index_pairs("offdiag", False):
+            if not _is_int(val):
                 raise ConfigError(
-                    f"offdiag entry {key!r} must map a pair (i, j) to an "
-                    "integer exponent")
-            out[key] = val
-        return out
+                    f"offdiag entry {pair!r} must map to an integer exponent")
+        return self.settings["offdiag"]
+
+    def _index_pairs(self, key, diagonal):
+        """Items of the `key` table after checking that each key is a free
+        index pair: 0 <= i <= j < n with the diagonal, 0 <= i < j < n
+        without it."""
+        n = self.datum.n
+        for pair in self.settings[key]:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(_is_int(k) for k in pair)
+                    and 0 <= pair[0] <= pair[1] < n
+                    and (diagonal or pair[0] < pair[1])):
+                raise ConfigError(
+                    f"{key} entry key {pair!r} must be a pair (i, j) with "
+                    f"0 <= i {'<=' if diagonal else '<'} j < {n}")
+        return self.settings[key].items()
 
     def base_inputs(self):
         return {"datum": self.datum_label, "mode": self.mode}
@@ -729,7 +712,7 @@ def emit(records, cfg, out=None):
 def _common_flags(parser):
     parser.add_argument("--config", metavar="PATH",
                         help="configuration file (key = value lines)")
-    parser.add_argument("--format", choices=("json", "table"), default=None,
+    parser.add_argument("--format", choices=_KEYS["format"][2], default=None,
                         help="report format (default json)")
     parser.add_argument("--bound", type=int, default=None, metavar="N",
                         help="ideal-reduction word-length bound")
@@ -768,7 +751,7 @@ def build_parser():
     _common_flags(p_mod)
 
     p_twist = sub.add_parser("twist", help="cocycle-twist suites")
-    p_twist.add_argument("--qhat", choices=("one-parameter", "identity"),
+    p_twist.add_argument("--qhat", choices=_KEYS["qhat"][2],
                          default=None, help="target parameter matrix")
     _common_flags(p_twist)
 
@@ -789,20 +772,13 @@ def _merge_settings(args):
         except OSError as ex:
             raise ConfigError(f"cannot read config: {ex}")
         settings.update(parse_config_text(text, where=args.config))
-    if args.format is not None:
-        settings["format"] = args.format
-    if args.bound is not None:
-        settings["bound"] = args.bound
-    if args.max_height is not None:
-        settings["max_height"] = args.max_height
-    if args.seed is not None:
-        settings["seed"] = args.seed
+    # flags whose argparse dest is the config key they set
+    for key in ("format", "bound", "max_height", "seed", "ell", "qhat"):
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
     if args.timings:
         settings["timings"] = True
-    if getattr(args, "ell", None) is not None:
-        settings["ell"] = args.ell
-    if getattr(args, "qhat", None) is not None:
-        settings["qhat"] = args.qhat
     if getattr(args, "lam", None) is not None:
         settings["weights"] = [args.lam.split(",")]
     return settings

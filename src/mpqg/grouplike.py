@@ -72,9 +72,6 @@ class GradingGroup:
     def inv(self, a):
         return self.reduce(tuple(-x for x in a))
 
-    def power(self, a, k):
-        return self.reduce(tuple(x * k for x in a))
-
     def order(self):
         """Group order, or None when infinite."""
         if any(m == 0 for m in self.moduli):

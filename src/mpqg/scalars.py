@@ -106,12 +106,11 @@ def mono_cmp(a, b):
     ia, ib = 0, 0
     while ia < len(a) or ib < len(b):
         if ia < len(a) and (ib >= len(b) or a[ia][0] < b[ib][0]):
-            va, ea = a[ia]
+            ea = a[ia][1]
             eb = ZERO
-            key = va
             ia += 1
         elif ib < len(b) and (ia >= len(a) or b[ib][0] < a[ia][0]):
-            vb, eb = b[ib]
+            eb = b[ib][1]
             ea = ZERO
             ib += 1
         else:

@@ -69,7 +69,6 @@ class TwistContext:
     def phi_map(self, x, invert=False):
         """Comparison map into the target machinery (or back when
         inverted): words are preserved, coefficients are rescaled."""
-        src = self.hat_alg if invert else self.alg
         dst = self.alg if invert else self.hat_alg
         terms = {}
         for w, c in x.terms.items():

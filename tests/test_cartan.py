@@ -45,6 +45,13 @@ def test_preset_validation():
         CartanDatum(((2, -1), (0, 2)), (1, 1))  # asymmetric zero pattern
     with pytest.raises(ValueError):
         CartanDatum(((2, -1), (-2, 2)), (1, 1))  # wrong symmetrizer
+    # entries int() would round or parse into A2 are refused
+    with pytest.raises(ValueError, match="integers"):
+        CartanDatum(((2, -1.7), (-1.2, 2)), (1.9, 1))
+    with pytest.raises(ValueError, match="integers"):
+        CartanDatum(((2, "-1"), ("-1", 2)), (1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        CartanDatum(((2, -1), (-1, 2)), (True, 1))
 
 
 def test_affine_not_finite_type():

@@ -89,11 +89,39 @@ def test_parse_config_rejections(line, fragment):
     "mode = 'numeric'\nnumeric = {(True, 0): 4}\n",
     "mode = 'root-of-unity'\noffdiag = {(0, 1): True}\n",
     "mode = 'root-of-unity'\noffdiag = {(False, 1): 1}\n",
+    # a zero free entry has no inverse for the entry below it
+    "mode = 'numeric'\nnumeric = {(0, 0): 5, (1, 1): 5, (0, 1): 0}\n",
+    # index pairs below the diagonal or beyond the rank reach no entry
+    "mode = 'numeric'\nnumeric = {(0, 0): 5, (1, 1): 5, (1, 0): 3}\n",
+    "mode = 'numeric'\nnumeric = {(0, 0): 5, (1, 1): 5, (7, 7): 2}\n",
+    "mode = 'root-of-unity'\noffdiag = {(1, 0): 2}\n",
+    "mode = 'root-of-unity'\noffdiag = {(4, 4): 1}\n",
+    "mode = 'root-of-unity'\noffdiag = {(0, 0): 1}\n",
+    # Cartan entries are exact integers, not rounded or parsed
+    "cartan = [[2, -1.7], [-1.2, 2]]\nsymmetrizers = [1.9, 1]\n",
+    "cartan = [[2, '-1'], ['-1', 2]]\nsymmetrizers = [1, 1]\n",
+    "cartan = [[2, -1], [-1, 2]]\nsymmetrizers = [True, 1]\n",
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text):
     cfg = write_config(tmp_path, text)
     assert main(["check", "relations", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["check", "relations", "--format", "table"], "format", "table"),
+    (["check", "relations", "--bound", "7"], "bound", 7),
+    (["check", "relations", "--max-height", "2"], "max_height", 2),
+    (["check", "relations", "--seed", "11"], "seed", 11),
+    (["check", "relations", "--timings"], "timings", True),
+    (["smallqg", "--ell", "7"], "ell", 7),
+    (["twist", "--qhat", "identity"], "qhat", "identity"),
+    (["module", "--lambda", "1,2/3"], "weights", [["1", "2/3"]]),
+])
+def test_every_flag_reaches_its_key(argv, key, value):
+    # each value differs from the default, and no other key moves
+    settings = cli._merge_settings(cli.build_parser().parse_args(argv))
+    assert settings == {**cli.DEFAULTS, key: value}
 
 
 def test_missing_config_file_exits_2(capsys):

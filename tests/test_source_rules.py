@@ -140,3 +140,32 @@ def test_no_unused_imports_in_library():
                     if bound not in read:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_no_dead_local_stores():
+    # a name a function binds by plain assignment and never reads is either
+    # a leftover of deleted code or a result the function meant to use;
+    # `_` names and tuple-unpacking targets are exempt, and a nested
+    # function's reads count for the function around it
+    dead = set()
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read, declared = set(), set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and not isinstance(
+                        node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if (isinstance(target, ast.Name)
+                                and not target.id.startswith("_")
+                                and target.id not in read | declared):
+                            dead.add(f"{path.name}:{target.lineno} "
+                                     f"{target.id}")
+    assert dead == set()
