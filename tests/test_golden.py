@@ -35,6 +35,9 @@ B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
 A2_NUMERIC_MODULE = ("preset = 'A2'\nmode = 'numeric'\n"
                      "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
                      "weights = [[1, 1]]\n")
+A2_NUMERIC_MODULE_21 = ("preset = 'A2'\nmode = 'numeric'\n"
+                        "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
+                        "weights = [[2, 1]]\n")
 B2_ROOT_OF_UNITY_GRAM = ("preset = 'B2'\nmode = 'root-of-unity'\nell = 5\n"
                          "max_height = 4\n")
 A2_ROOT_OF_UNITY_MODULE = ("preset = 'A2'\nmode = 'root-of-unity'\nell = 5\n"
@@ -53,6 +56,7 @@ RUNS = {
     "a2-pairing-gram": (["pairing", "gram"], None),
     "a2-module": (["module"], None),
     "a2-numeric-module": (["module"], A2_NUMERIC_MODULE),
+    "a2-numeric-module-21": (["module"], A2_NUMERIC_MODULE_21),
     "a2-root-of-unity-module": (["module"], A2_ROOT_OF_UNITY_MODULE),
     "a2-root-of-unity-pairing-gram": (["pairing", "gram"],
                                       A2_ROOT_OF_UNITY_GRAM),
