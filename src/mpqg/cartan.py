@@ -339,7 +339,14 @@ class ParamMatrix:
     @staticmethod
     def numeric(datum, assignment):
         """assignment: {(i, j): Fraction} for i <= j free entries; a missing
-        off-diagonal one is 1."""
+        off-diagonal one is 1.  A key that names no free entry (below the
+        diagonal or beyond the rank) is a ValueError, not dropped."""
+        n = datum.n
+        free = {(i, j) for i in range(n) for j in range(i, n)}
+        stray = [key for key in assignment if key not in free]
+        if stray:
+            raise ValueError(f"keys {stray} name no free entry (i, j) with "
+                             f"0 <= i <= j < {n}")
         diag = [Fraction(assignment[(i, i)]) for i in range(datum.n)]
         for i, v in enumerate(diag):
             if not v or v == 1:

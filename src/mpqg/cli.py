@@ -160,6 +160,13 @@ class RunConfig:
         ell = settings["ell"]
         if ell < 3 or ell % 2 == 0:
             raise ConfigError("'ell' must be an odd integer >= 3")
+        # checked in every mode: `smallqg` reads it whatever the mode says
+        if settings["offdiag"] is not None:
+            for pair, val in self._index_pairs("offdiag", False):
+                if not _is_int(val):
+                    raise ConfigError(f"offdiag entry {pair!r} must map to "
+                                      "an integer exponent")
+        self.offdiag = settings["offdiag"]
         self.bound = settings["bound"]
         self.max_height = settings["max_height"]
         self.max_depth = settings["max_depth"]
@@ -216,20 +223,9 @@ class RunConfig:
         take is a configuration error."""
         try:
             return ParamMatrix.root_of_unity(self.datum, self.ell,
-                                             offdiag=self.offdiag_table())
+                                             offdiag=self.offdiag)
         except ValueError as ex:
             raise ConfigError(f"invalid root-of-unity parameters: {ex}")
-
-    def offdiag_table(self):
-        """Off-diagonal exponent table for root-of-unity parameters, or
-        None; other parameter modes never consult it."""
-        if self.settings["offdiag"] is None:
-            return None
-        for pair, val in self._index_pairs("offdiag", False):
-            if not _is_int(val):
-                raise ConfigError(
-                    f"offdiag entry {pair!r} must map to an integer exponent")
-        return self.settings["offdiag"]
 
     def _index_pairs(self, key, diagonal):
         """Items of the `key` table after checking that each key is a free
@@ -545,7 +541,7 @@ def _build_module(cfg, lam, root_of_unity):
     weights outside the alcove) or over the configured parameters."""
     if root_of_unity:
         return root_of_unity_module(cfg.datum, lam, cfg.ell,
-                                    offdiag=cfg.offdiag_table(),
+                                    offdiag=cfg.offdiag,
                                     max_depth=cfg.max_depth)
     return build_module(cfg.datum, cfg.make_params(), lam,
                         max_depth=cfg.max_depth)

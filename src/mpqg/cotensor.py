@@ -296,25 +296,39 @@ class CotensorAlgebra:
     # -- product ----------------------------------------------------------------
 
     def word_product(self, wx, wy):
-        """Product of two basis words as a word -> coefficient map.
+        """Product of two basis words as a word -> coefficient map, cached
+        for the algebra's lifetime.
 
         A group-like tail acts on letters only through their characters,
         so (u.s) * (v.t) = chi_v(s) shift_st(u * v), where chi_v is the
         product of the characters of v's letters and shift_st sets every
         tail to st.  Only words with identity tails are walked; a product
         with a tail is derived from the cached identity-tail product, and
-        its words share that product's letter tuples."""
+        its words share that product's letter tuples.  `walk_product`
+        gives the same map without the cache."""
         key = (wx, wy)
         got = self._prod_cache.get(key)
         if got is not None:
             return got
         e = self.group.identity
-        s, t = wx.tail, wy.tail
         base_key = (Word(wx.letters, e), Word(wy.letters, e))
         base = self._prod_cache.get(base_key)
         if base is None:
-            base = self._prod_cache[base_key] = self._walk(wx.letters,
-                                                            wy.letters)
+            base = self._prod_cache[base_key] = self.walk_product(*base_key)
+        got = self._prod_cache[key] = self._shift(base, wx.tail, wy)
+        return got
+
+    def walk_product(self, wx, wy):
+        """`word_product` without the cache: one walk of the two letter
+        tuples with the tails applied, for products that are used once."""
+        return self._shift(self._walk(wx.letters, wy.letters), wx.tail, wy)
+
+    def _shift(self, base, s, wy):
+        """(u.s) * (v.t) from base = u * v on identity tails:
+        chi_v(s) shift_st(base), and base itself when s and t are the
+        identity."""
+        e = self.group.identity
+        t = wy.tail
         if s == e and t == e:
             return base
         chi = None
@@ -328,11 +342,8 @@ class CotensorAlgebra:
                     chi = c if chi is None else chi * c
         st = self.group.mul(s, t)
         if chi is None:
-            out = {Word(w.letters, st): c for w, c in base.items()}
-        else:
-            out = {Word(w.letters, st): chi * c for w, c in base.items()}
-        self._prod_cache[key] = out
-        return out
+            return {Word(w.letters, st): c for w, c in base.items()}
+        return {Word(w.letters, st): chi * c for w, c in base.items()}
 
     def _unless_one(self, c):
         return None if c == self.one else c

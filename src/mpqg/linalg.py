@@ -24,9 +24,10 @@ def add_into(d, terms, c=None):
     never stores a zero; surviving keys keep their place and new ones are
     appended.  Every sum of word maps goes through it (products,
     coproducts, `Echelon` row operations, antipodes, adjoint actions,
-    twists, relation expressions) except the final sum of the product
-    walk (`CotensorAlgebra._walk`), which adds one coefficient per path,
-    and the cross-check oracles."""
+    twists, relation expressions, ideal generators) except the final sum
+    of the product walk (`CotensorAlgebra._walk`, behind both the cached
+    `word_product` and the uncached `walk_product`), which adds one
+    coefficient per path, and the cross-check oracles."""
     if c is not None and not c:
         return
     get = d.get

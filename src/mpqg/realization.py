@@ -358,9 +358,11 @@ class IdealReducer:
         contraction letter X_i at position p of the word: u is the prefix,
         v the suffix together with the tail.
 
-        It is built from cached word products alone.  With k = K_i K'_i^{-1}
-        and r_i = X_i - k + 1, u * r_i * v is the sum of c * (w * v) over
-        the words w of u * X_i with coefficient c, plus
+        It is built from word products that bypass the algebra's cache
+        (`CotensorAlgebra.walk_product`): a table's closure uses most of
+        these products once, so caching them only held memory.  With
+        k = K_i K'_i^{-1} and r_i = X_i - k + 1, u * r_i * v is the sum of
+        c * (w * v) over the words w of u * X_i with coefficient c, plus
         (1 - chi_v(k) shift_k)(u * v): shift_k multiplies every tail by k,
         and chi_v(k) is the product of the characters of v's letters at k.
         That is (u k) * v = chi_v(k) shift_k(u * v), because each letter of
@@ -376,9 +378,9 @@ class IdealReducer:
         v = Word(wrd.letters[p + 1:], wrd.tail)
         one = alg.one
         out = {}
-        for w, c in alg.word_product(u, Word((("X", i),), g.identity)).items():
-            add_into(out, alg.word_product(w, v), None if c == one else c)
-        uv = alg.word_product(u, v)
+        for w, c in alg.walk_product(u, Word((("X", i),), g.identity)).items():
+            add_into(out, alg.walk_product(w, v), None if c == one else c)
+        uv = alg.walk_product(u, v)
         chi = -one
         for b in v.letters:
             chi = chi * alg.letters[b].char(k)
@@ -451,9 +453,11 @@ class NormalFormTable:
     eliminating: each new pivot then lies below the older ones, which
     rarely need back-elimination.  The reduced echelon form of a span is
     unique, so rows and normal forms do not depend on that order.  The
-    generators come from `IdealReducer.targeted_generator`, and each
-    word's `_pivot_key` is memoized for the table's lifetime (it serves
-    as the `Echelon` key and in the sort).  With
+    generators come from `IdealReducer.targeted_generator`, whose word
+    products bypass the algebra's product cache, so a closure leaves that
+    cache as it found it; what the table holds is its rows, the words it
+    has ensured, and each word's `_pivot_key`, memoized for the table's
+    lifetime (it serves as the `Echelon` key and in the sort).  With
     exact-rational coefficients the `Echelon` eliminates on primitive
     integer rows, reducing a vector by the rows whose pivots it carries,
     and hands out the same `Fraction`s.  With

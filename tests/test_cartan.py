@@ -184,6 +184,14 @@ def test_numeric_mode():
                      (0, 1): Fraction(2), (1, 0): Fraction(2)})
 
 
+@pytest.mark.parametrize("stray", [(1, 0), (2, 2), (0, 2), (-1, 0)])
+def test_numeric_refuses_keys_that_name_no_free_entry(stray):
+    # was dropped: {(1, 0): 3} gave q_01 = 1 without an error
+    a2 = CartanDatum.preset("A2")
+    with pytest.raises(ValueError, match="no free entry"):
+        ParamMatrix.numeric(a2, {(0, 0): 4, (1, 1): 4, stray: 3})
+
+
 def test_one_parameter_entries():
     b2 = CartanDatum.preset("B2")
     q = Scalar.variable(("q",))

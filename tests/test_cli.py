@@ -124,6 +124,15 @@ def test_every_flag_reaches_its_key(argv, key, value):
     assert settings == {**cli.DEFAULTS, key: value}
 
 
+@pytest.mark.parametrize("argv", [["check", "relations"], ["smallqg"]])
+def test_offdiag_table_is_checked_in_every_mode(tmp_path, capsys, argv):
+    # in the default symbolic mode `check relations` never reads the table,
+    # and used to run it silently with exit 0
+    cfg = write_config(tmp_path, "offdiag = {(5, 5): 'x'}\n")
+    assert main(argv + ["--config", cfg]) == 2
+    assert "offdiag entry key (5, 5)" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["check", "relations", "--config", "/nonexistent.cfg"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -352,3 +352,30 @@ def test_targeted_generator_matches_product_formula(preset_params):
                 assert all(got[w] == want[w] for w in want), (wrd, p)
                 checked += 1
     assert checked >= 24
+
+
+def test_targeted_generator_leaves_product_cache_alone():
+    # generators are single-use: building them must not grow the algebra's
+    # word-product cache, which module actions keep for their own products
+    datum = CartanDatum.preset("A2")
+    params = ParamMatrix.numeric(datum, {(0, 0): 5, (1, 1): 5, (0, 1): 3})
+    real = Realization(datum, params, LatticeVector((Fraction(2),
+                                                     Fraction(1))))
+    alg = real.alg
+    reducer = IdealReducer(real)
+    tags = [t for t in alg.letters if t[0] not in ("E", "V")]
+    words = _random_contraction_words(alg, random.Random(20261020), tags,
+                                      12, 5, (("V",),))
+    checked = 0
+    for wrd in words:
+        for p, letter in enumerate(wrd.letters):
+            if letter[0] != "X":
+                continue
+            cached = len(alg._prod_cache)
+            got = reducer.targeted_generator(wrd, p).terms
+            assert len(alg._prod_cache) == cached, (wrd, p)
+            want = _product_formula(reducer, wrd, p).terms
+            assert list(got) == list(want), (wrd, p)
+            assert all(got[w] == want[w] for w in want), (wrd, p)
+            checked += 1
+    assert checked >= 12
