@@ -16,8 +16,8 @@ from .cotensor import CotensorAlgebra, Word, word_key
 from .grouplike import Bicharacter, Character, GradingGroup, build_bicharacter
 from .linalg import Matrix
 from .modules import (ClosureError, FiniteTypeError, HighestWeightModule,
-                      UndecidedReductionError, alcove_check, build_module,
-                      root_of_unity_module, weight_denominator)
+                      alcove_check, build_module, root_of_unity_module,
+                      weight_denominator)
 from .pairing import SkewPairing, weights_of_height
 from .realization import (FreeExpr, IdealReducer, NormalFormTable, Realization,
                           e, f, w, wp)
@@ -43,7 +43,6 @@ __all__ = [
     "Scalar",
     "SkewPairing",
     "TwistContext",
-    "UndecidedReductionError",
     "Word",
     "alcove_check",
     "build_bicharacter",

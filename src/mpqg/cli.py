@@ -34,9 +34,8 @@ from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
                      fundamental_weight, kostant_count, weyl_dim)
 from .cotensor import Word
 from .linalg import add_into
-from .modules import (ClosureError, FiniteTypeError, UndecidedReductionError,
-                      alcove_check, build_module, render_weight,
-                      root_of_unity_module)
+from .modules import (ClosureError, FiniteTypeError, alcove_check,
+                      build_module, render_weight, root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height
 from .realization import IdealReducer, Realization, relation_verdict
 from .twist import build_twist
@@ -250,12 +249,12 @@ class RunConfig:
 
 
 def _run(records, check, inputs, fn):
-    """Append the record of one check; an exhausted search inside it
-    (reduction bound, closure depth) or a datum out of scope is undecided."""
+    """Append the record of one check; an exhausted search inside it (closure
+    depth) or a datum out of scope is undecided."""
     t0 = time.perf_counter()
     try:
         status, detail = fn()
-    except (UndecidedReductionError, ClosureError, FiniteTypeError) as ex:
+    except (ClosureError, FiniteTypeError) as ex:
         status, detail = "undecided", str(ex)
     records.append({
         "check": check,
@@ -490,7 +489,8 @@ class ModuleVerdicts:
     """The four verdicts on one highest-weight module, in report order
     (`NAMES`).  `dimension` builds the module with `build` and compares its
     dimension with the Weyl oracle; the other three judge the module it
-    built (`mod`), so they are asked only after a build that succeeded."""
+    built (`mod`), so they are asked only after a build that succeeded.  An
+    action image that leaves the built module fails `relations`."""
 
     NAMES = ("dimension", "nilpotency", "closure", "relations")
 
@@ -529,7 +529,10 @@ class ModuleVerdicts:
         return "fail", "closure certificate missing"
 
     def relations(self):
-        report = self.mod.relation_matrix_report()
+        try:
+            report = self.mod.relation_matrix_report()
+        except ValueError as ex:
+            return "fail", str(ex)
         bad = sorted(_rid_label(rid) for rid, ok in report.items() if not ok)
         if bad:
             return "fail", "failing matrix identities: " + ", ".join(bad)

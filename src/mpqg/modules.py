@@ -2,9 +2,10 @@
 machinery enlarged by a highest-weight letter.
 
 Construction: breadth-first lowering closure from the highest-weight word,
-with exact Gauss--Jordan elimination per weight space.  Raising actions use
-the quasi-symmetric product and antipode and are then reduced to
-contraction-free representatives.  Weights are tracked by letter
+with exact Gauss--Jordan elimination per weight space.  E_i acts as c_i
+times the q-derivation that deletes a leading F_i (Kashiwara's e'_i; Rosso
+1998), which is its adjoint action modulo the ideal on module vectors; the
+other generators act by the adjoint action.  Weights are tracked by letter
 bookkeeping -- every lowering step subtracts one simple root -- which stays
 valid in every parameter mode, including roots of unity where distinct
 weights may share torus eigenvalues.  The defining relations can be
@@ -21,23 +22,13 @@ from math import lcm
 
 from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
                      positive_roots, rho, simple_root)
+from .cotensor import Word
 from .linalg import Matrix
-from .realization import (IdealReducer, NormalFormTable, Realization,
-                          graded_closure, has_contraction, relation_exprs)
+from .realization import Realization, graded_closure, relation_exprs
 
 
 def render_weight(mu) -> str:
     return "(" + ", ".join(str(c) for c in mu.coords) + ")"
-
-
-class UndecidedReductionError(RuntimeError):
-    """An adjoint image could not be certified reduced at the given bound."""
-
-    def __init__(self, status, bound):
-        super().__init__(
-            f"ideal reduction returned {status!r} at word-length bound {bound}")
-        self.status = status
-        self.bound = bound
 
 
 class ClosureError(RuntimeError):
@@ -73,7 +64,7 @@ def weight_denominator(lam) -> int:
 
 class HighestWeightModule:
     """Lowering closure of the highest-weight word, with exact weight-space
-    bases and adjoint actions of all presented generators.
+    bases and the actions of all presented generators.
 
     The weight must be dominant integral (`marks` holds its pairings with
     the simple coroots).  `max_depth` cuts the lowering closure off; left
@@ -104,10 +95,6 @@ class HighestWeightModule:
         self.max_depth = int(max_depth)
         self.real = Realization(datum, params, lam)
         self.alg = self.real.alg
-        self.reducer = IdealReducer(self.real)
-        # Module words hold at most max_depth lowering letters plus the
-        # weight letter; reduction never lengthens them.
-        self.table = NormalFormTable(self.reducer, bound=self.max_depth + 2)
         self.highest_vector = self.alg.letter_element(("V",))
         self._mat_cache = {}
         self._spans = {}
@@ -171,35 +158,40 @@ class HighestWeightModule:
         # pivot word
         return [vec.terms.get(pw, self.alg.zero) for pw in spn.rows]
 
-    # -- adjoint actions -----------------------------------------------------------
+    # -- actions -------------------------------------------------------------------
 
-    def _reduced(self, x):
-        if any(has_contraction(w) for w in x.terms):
-            x, ok = self.table.normal_form(x)
-            if not ok:
-                raise UndecidedReductionError("undecided", self.table.bound)
-        for w in x.terms:
-            if sum(1 for t in w.letters if t[0] == "V") != 1:
-                raise ValueError(
-                    "module vector lost weight-letter homogeneity: "
-                    + self.alg.render_word(w))
-        return x
+    def _raise(self, i, vec):
+        """c_i d_i(vec), c_i = -q_ii / (q_ii - 1): d_i keeps the words that
+        start with F_i and drops that letter, tail and all else unchanged."""
+        qii = self.params.entry(i, i)
+        c = self.alg.coerce(-qii / (qii - self.params.one))
+        first = ("F", i)
+        return self.alg.element({
+            Word(w.letters[1:], w.tail): c * v for w, v in vec.terms.items()
+            if w.letters and w.letters[0] == first})
 
     def act(self, atom, vec):
-        """Adjoint action of a presented atom (("e", i), ("f", i), ("w", i,
-        s) or ("wp", i, s)) on a module vector, reduced to its
-        contraction-free representative."""
-        return self._reduced(self.real.ad_left(self.real._atom_elt(atom), vec))
+        """Action of a presented atom (("e", i), ("f", i), ("w", i, s) or
+        ("wp", i, s)) on a module vector: E_i by the scaled q-derivation,
+        the others by the adjoint action, whose images must keep one weight
+        letter and no contraction letter in every word."""
+        if atom[0] == "e":
+            return self._raise(atom[1], vec)
+        x = self.real.ad_left(self.real._atom_elt(atom), vec)
+        for w in x.terms:
+            kinds = [t[0] for t in w.letters]
+            if kinds.count("V") != 1 or "X" in kinds:
+                raise ValueError(
+                    "module vector left the contraction-free words with one "
+                    "weight letter: " + self.alg.render_word(w))
+        return x
 
     def nilpotency_threshold(self, i):
-        """First r with the r-th lowering power of the highest vector zero."""
+        """First r with the r-th lowering power of the highest vector zero,
+        or marks[i] + 2 if the chain outlives the expected threshold."""
         vec = self.highest_vector
         r = 0
-        while not vec.is_zero:
-            if r > self.marks[i] + 1:
-                raise RuntimeError(
-                    f"lowering chain at index {i} exceeded the expected "
-                    f"threshold {self.marks[i] + 1}")
+        while not vec.is_zero and r <= self.marks[i] + 1:
             vec = self.act(("f", i), vec)
             r += 1
         return r
@@ -214,7 +206,7 @@ class HighestWeightModule:
         return LatticeVector((0,) * self.datum.n)
 
     def act_matrix(self, atom, mu):
-        """(target weight, matrix) of the atom's adjoint action out of the
+        """(target weight, matrix) of the atom's action out of the
         weight-mu space, columns indexed by the stored basis there; a None
         matrix encodes the verified zero map onto an absent weight space."""
         key = (atom, mu)
@@ -229,7 +221,7 @@ class HighestWeightModule:
                 cc = self.coords_at(target, img)
                 if cc is None:
                     raise ValueError(
-                        f"adjoint image of a weight-{render_weight(mu)} "
+                        f"action image of a weight-{render_weight(mu)} "
                         f"vector left the computed module")
                 cols.append(cc)
             got = (target, Matrix([[col[t] for col in cols]
@@ -238,7 +230,7 @@ class HighestWeightModule:
             got = (target, None)
         else:
             raise ValueError(
-                "adjoint image outside the weight ladder at "
+                "action image outside the weight ladder at "
                 + render_weight(mu))
         self._mat_cache[key] = got
         return got
@@ -246,8 +238,8 @@ class HighestWeightModule:
     # -- defining relations as matrix identities -------------------------------------
 
     def _operator_parts(self, rid):
-        """Lists of (monomial, coefficient) pairs whose summed adjoint
-        action must annihilate every module vector."""
+        """Lists of (monomial, coefficient) pairs whose summed action must
+        annihilate every module vector."""
         return [list(x.terms.items())
                 for x in relation_exprs(self.datum, self.params, rid)]
 

@@ -441,10 +441,8 @@ class NormalFormTable:
     Every subtraction the table performs is by an explicit member of the
     ideal, so a residual is always congruent to its input; it is reported
     as a normal form only when it is contraction-free.  The table grows
-    deterministically and is meant to be shared across many reductions
-    (module construction touches the same weight regions over and over),
-    amortizing the elimination work that a one-shot solve would repeat.
-    It is the one reducer: `IdealReducer.reduce` decides membership on a
+    deterministically, so one table can serve many reductions.  It is the
+    one reducer: `IdealReducer.reduce` decides membership on a
     fresh table per weight component.
 
     `ensure` first collects a whole closure of generators, then adds them
@@ -463,9 +461,10 @@ class NormalFormTable:
     and hands out the same `Fraction`s.  With
     symbolic `Scalar` coefficients the generators keep discovery order:
     `Scalar` has no gcd, so the order of row operations sets the size of
-    its coefficients (sorted, the symbolic A1 module at weight 3/2 runs
-    past 120 s instead of 0.2 s).  That exception goes once `Scalar` keeps
-    factored denominators (ROADMAP item 3).  `max_rows` caps the rows held
+    its coefficients (sorted, reducing the raising images of the symbolic
+    A1 module at weight 3/2 ran past 120 s instead of 0.2 s).  That
+    exception goes once `Scalar` keeps factored denominators (ROADMAP
+    item 5).  `max_rows` caps the rows held
     plus the generators collected, so a saturated closure adds nothing
     past it.
     """

@@ -11,7 +11,7 @@ from mpqg import cli
 from mpqg.cli import main, parse_config_text, ConfigError
 from mpqg.cotensor import CotensorAlgebra, Word
 from mpqg.linalg import add_into as linalg_add_into
-from mpqg.modules import HighestWeightModule, UndecidedReductionError
+from mpqg.modules import ClosureError, HighestWeightModule
 
 
 def run_json(capsys, argv):
@@ -429,9 +429,9 @@ def test_singular_cartan_needs_explicit_weights(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_undecided_reduction_is_an_undecided_record(monkeypatch, capsys):
+def test_exhausted_search_is_an_undecided_record(monkeypatch, capsys):
     def exhausted(self, i):
-        raise UndecidedReductionError("undecided", self.table.bound)
+        raise ClosureError(6, [self.lam])
 
     monkeypatch.setattr(HighestWeightModule, "nilpotency_threshold", exhausted)
     code, records = run_json(capsys, ["module", "--timings"])
@@ -441,9 +441,45 @@ def test_undecided_reduction_is_an_undecided_record(monkeypatch, capsys):
                       "module/closure", "module/relations"]
     rec = records[1]
     assert rec["status"] == "undecided"
-    assert "word-length bound" in rec["detail"]
+    assert rec["detail"] == ("lowering closure still open at depth 6; "
+                             "pending weight spaces: (2/3, 1/3)")
     assert rec["ms"] >= 0
     assert all(r["status"] == "pass" for r in records if r is not rec)
+
+
+A2_NUMERIC_11 = ("preset = 'A2'\nmode = 'numeric'\n"
+                 "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
+                 "weights = [[1, 1]]\n")
+RAISE = HighestWeightModule._raise
+
+
+def _doubled(self, i, vec):
+    return RAISE(self, i, vec).scale(self.alg.coerce(2))
+
+
+def _from_the_right(self, i, vec):
+    # deletes the letter next to the weight letter instead of the first one
+    moved = {Word(w.letters[-2:-1] + w.letters[:-2] + w.letters[-1:],
+                  w.tail): c for w, c in vec.terms.items()}
+    return RAISE(self, i, self.alg.element(moved))
+
+
+@pytest.mark.parametrize("mutant,detail", [
+    (_doubled, "failing matrix identities: R5(0,0), R5(1,1)"),
+    (_from_the_right, "action image outside the weight ladder at (0, -1)"),
+], ids=["doubled-constant", "wrong-side"])
+def test_broken_raising_action_fails(tmp_path, monkeypatch, capsys, mutant,
+                                     detail):
+    # the raising action is c_i times the deletion of a leading F_i; a
+    # wrong constant or a deletion at the wrong end must make the relation
+    # records fail, as records and not as a traceback
+    monkeypatch.setattr(HighestWeightModule, "_raise", mutant)
+    cfg = write_config(tmp_path, A2_NUMERIC_11)
+    code, records = run_json(capsys, ["module", "--config", cfg])
+    assert code == 1
+    failed = [(r["check"], r["detail"]) for r in records
+              if r["status"] != "pass"]
+    assert failed == [("module/relations", detail)]
 
 
 def test_module_invocation_via_interpreter():

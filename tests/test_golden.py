@@ -35,6 +35,7 @@ B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
 A2_NUMERIC_MODULE = ("preset = 'A2'\nmode = 'numeric'\n"
                      "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
                      "weights = [[1, 1]]\n")
+A2_MODULE_11 = "preset = 'A2'\nweights = [[1, 1]]\n"
 A2_NUMERIC_MODULE_21 = ("preset = 'A2'\nmode = 'numeric'\n"
                         "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
                         "weights = [[2, 1]]\n")
@@ -55,6 +56,7 @@ RUNS = {
     "a2-smallqg": (["smallqg"], None),
     "a2-pairing-gram": (["pairing", "gram"], None),
     "a2-module": (["module"], None),
+    "a2-module-11": (["module"], A2_MODULE_11),
     "a2-numeric-module": (["module"], A2_NUMERIC_MODULE),
     "a2-numeric-module-21": (["module"], A2_NUMERIC_MODULE_21),
     "a2-root-of-unity-module": (["module"], A2_ROOT_OF_UNITY_MODULE),
@@ -66,6 +68,7 @@ RUNS = {
     "cfg-a2-symbolic-twist": (["twist"], "a2-symbolic.cfg"),
     "cfg-a1-root-of-unity-smallqg": (["smallqg"], "a1-root-of-unity.cfg"),
     "cfg-b2-numeric-module": (["module"], "b2-numeric.cfg"),
+    "cfg-g2-numeric-module": (["module"], "g2-numeric.cfg"),
     "a1-ladder-module": (["module"], A1_LADDER),
     "a1-check-hopf": (["check", "hopf"], A1_HOPF),
     "a1-root-of-unity-check-hopf": (["check", "hopf"], A1_ROOT_OF_UNITY_HOPF),
