@@ -11,13 +11,13 @@ modules with their root-of-unity variant.
 """
 
 from .cartan import (CartanDatum, LatticeVector, ParamMatrix, coweight_pairing,
-                     kostant_count, positive_roots, rho, simple_root, weyl_dim)
+                     kostant_count, marks, positive_roots, rho, simple_root,
+                     weyl_dim)
 from .cotensor import CotensorAlgebra, Word, word_key
 from .grouplike import Bicharacter, Character, GradingGroup, build_bicharacter
 from .linalg import Matrix
 from .modules import (ClosureError, FiniteTypeError, HighestWeightModule,
-                      alcove_check, build_module, root_of_unity_module,
-                      weight_denominator)
+                      alcove_check, build_module, root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height
 from .realization import (FreeExpr, IdealReducer, NormalFormTable, Realization,
                           e, f, w, wp)
@@ -52,6 +52,7 @@ __all__ = [
     "e",
     "f",
     "kostant_count",
+    "marks",
     "positive_roots",
     "q_binomial",
     "q_factorial",
@@ -61,7 +62,6 @@ __all__ = [
     "simple_root",
     "specialize",
     "w",
-    "weight_denominator",
     "weights_of_height",
     "weyl_dim",
     "word_key",

@@ -27,10 +27,9 @@ modes are:
                          entries (a missing free entry is 1; the caller
                          must supply a consistent diagonal).
 * ``root_of_unity``   -- q_ii of uniform odd multiplicative order ell, exact
-                         cyclotomic values in a common ambient order
-                         ell * weight_denominator; the lower triangle is
-                         derived on the exponents of zeta, which ``power``
-                         reads.
+                         cyclotomic values in Q(zeta_ell); the lower
+                         triangle is derived on the integer exponents of
+                         zeta_ell, which ``power`` reads.
 """
 
 from __future__ import annotations
@@ -194,6 +193,19 @@ def coweight_pairing(datum, lam, beta) -> Fraction:
     return 2 * sym_form(datum, lam, beta) / bb
 
 
+def marks(datum, lam):
+    """The marks m_i = <lam, alpha_i^vee> of a dominant integral weight, as
+    ints; a ValueError for any other weight."""
+    out = []
+    for i in range(datum.n):
+        m = coweight_pairing(datum, lam, simple_root(datum, i))
+        if m.denominator != 1 or m < 0:
+            raise ValueError(f"weight is not dominant integral: pairing with "
+                             f"coroot {i} is {m}")
+        out.append(int(m))
+    return tuple(out)
+
+
 def fundamental_weight(datum, i) -> LatticeVector:
     """varpi_i in alpha-coordinates: column i of the inverse Cartan matrix."""
     n = datum.n
@@ -279,21 +291,20 @@ class ParamMatrix:
     """Compatibility-checked matrix of parameters plus the coefficient field
     the rest of the library computes in.
 
-    ``power(i, j, e)`` returns q_ij^e for a Fraction exponent e: a monomial
-    in symbolic modes, an exact root-of-unity power in cyclotomic mode, and
-    an error for genuinely fractional powers of plain rationals.
+    ``power(i, j, e)`` returns q_ij^e for an integral exponent e (an int or
+    a Fraction with denominator 1); any other exponent is a ValueError.
     """
 
-    def __init__(self, datum, mode, entries, *, orders=None, ambient=None,
+    def __init__(self, datum, mode, entries, *, orders=None, ell=None,
                  zexp=None):
         self.datum = datum
         self.mode = mode
         self.entries = entries  # (i, j) -> field element
         self.orders = orders    # per-index multiplicative order of q_ii, or None
-        self.ambient = ambient  # cyclotomic ambient order, or None
-        self.zexp = zexp        # (i, j) -> exponent of zeta_ambient, cyclotomic mode
+        self.ell = ell          # cyclotomic order, or None
+        self.zexp = zexp        # (i, j) -> int exponent of zeta_ell, cyclotomic mode
         if mode == "root_of_unity":
-            self.one = zeta(ambient, 0)
+            self.one = zeta(ell, 0)
         elif mode == "numeric":
             self.one = Fraction(1)
         else:
@@ -369,7 +380,7 @@ class ParamMatrix:
         return ParamMatrix(datum, mode, entries)
 
     @staticmethod
-    def root_of_unity(datum, ell, *, weight_denominator=1, offdiag=None):
+    def root_of_unity(datum, ell, *, offdiag=None):
         """All q_ii of multiplicative order exactly ell (odd, >= 3).
 
         Within a component with symmetrizer gcd g, q_ii = zeta_ell^(d_i/g);
@@ -377,12 +388,11 @@ class ParamMatrix:
         all i -- hence the oddness requirement, and 3 must not divide ell
         when a component has a triple bond.  Off-diagonal entries are
         zeta_ell^k with k from ``offdiag`` (default 0) for i < j.  Values
-        live in Q(zeta_ambient), ambient = ell * weight_denominator, so
-        fractional-exponent weight pairings stay exact.
+        live in Q(zeta_ell).
         """
         if ell < 3 or ell % 2 == 0:
             raise ValueError("the order must be an odd integer >= 3")
-        diag_step = {}
+        zexp = {}
         for comp in datum.components():
             g = 0
             for i in comp:
@@ -395,24 +405,14 @@ class ParamMatrix:
                         f"symmetrizer {c} at index {i}; the diagonal orders "
                         f"cannot all equal {ell}"
                     )
-                diag_step[i] = c
-        ambient = ell * max(1, int(weight_denominator))
-        step = ambient // ell
-        zexp = {}
-        for i in range(datum.n):
-            zexp[(i, i)] = Fraction(step * diag_step[i])
+                zexp[(i, i)] = c
         for i in range(datum.n):
             for j in range(datum.n):
                 if i < j:
-                    k = (offdiag or {}).get((i, j), 0)
-                    zexp[(i, j)] = Fraction(step * k)
+                    zexp[(i, j)] = (offdiag or {}).get((i, j), 0)
                 elif i > j:
                     zexp[(i, j)] = zexp[(j, j)] * datum.a[j][i] - zexp[(j, i)]
-        entries = {}
-        for key, e in zexp.items():
-            if e.denominator != 1:
-                raise ArithmeticError(f"non-integral zeta exponent {e}")
-            entries[key] = zeta(ambient, int(e) % ambient)
+        entries = {key: zeta(ell, e % ell) for key, e in zexp.items()}
         orders = []
         for i in range(datum.n):
             got = entries[(i, i)].multiplicative_order()
@@ -421,7 +421,7 @@ class ParamMatrix:
                     f"q_{i}{i} has order {got}, not the requested {ell}")
             orders.append(got)
         return ParamMatrix(datum, "root_of_unity", entries,
-                           orders=tuple(orders), ambient=ambient, zexp=zexp)
+                           orders=tuple(orders), ell=ell, zexp=zexp)
 
     # -- operations -----------------------------------------------------------
 
@@ -440,30 +440,13 @@ class ParamMatrix:
     def entry(self, i, j):
         return self.entries[(i, j)]
 
-    def power(self, i, j, e: Fraction):
+    def power(self, i, j, e):
         e = Fraction(e)
-        if not e:
-            return self.one
+        if e.denominator != 1:
+            raise ValueError(f"non-integral power {e} of q_{i}{j}")
         if self.mode == "root_of_unity":
-            k = self.zexp[(i, j)] * e
-            if k.denominator != 1:
-                raise ValueError(
-                    f"fractional power of q_{i}{j} not resolvable at ambient "
-                    f"{self.ambient}"
-                )
-            return zeta(self.ambient, int(k) % self.ambient)
-        if self.mode == "numeric":
-            base = self.entries[(i, j)]
-            if e.denominator != 1:
-                root = _exact_fraction_root(base, e.denominator)
-                if root is None:
-                    raise ValueError(
-                        f"fractional power of q_{i}{j}: {base} has no exact "
-                        f"{e.denominator}-th root; choose perfect-power "
-                        f"entries for this weight")
-                return root ** e.numerator
-            return base ** int(e)
-        return _scalar_fract_power(self.entries[(i, j)], e)
+            return zeta(self.ell, self.zexp[(i, j)] * int(e) % self.ell)
+        return self.entries[(i, j)] ** int(e)
 
     def q_pairing(self, mu, nu):
         """q_{mu,nu} = prod q_ij^(mu_i nu_j)."""
@@ -480,39 +463,10 @@ class ParamMatrix:
         if self.mode == "root_of_unity":
             if isinstance(x, CyclotomicElement):
                 return x
-            return zeta(self.ambient, 0) * Fraction(x)
+            return self.one * Fraction(x)
         if self.mode == "numeric":
             return Fraction(x)
         return Scalar.coerce(x)
-
-
-def _integer_root(n: int, r: int):
-    """Exact r-th root of a nonnegative integer, or None."""
-    if n < 2:
-        return n
-    lo, hi = 1, 1 << ((n.bit_length() + r - 1) // r + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** r <= n:
-            lo = mid + 1
-        else:
-            hi = mid
-    c = lo - 1
-    return c if c ** r == n else None
-
-
-def _exact_fraction_root(v: Fraction, r: int):
-    """Exact r-th root of a rational, or None when it does not exist."""
-    sign = 1
-    if v < 0:
-        if r % 2 == 0:
-            return None
-        sign, v = -1, -v
-    a = _integer_root(v.numerator, r)
-    b = _integer_root(v.denominator, r)
-    if a is None or b is None:
-        return None
-    return Fraction(sign * a, b)
 
 
 def _scalar_fract_power(s: Scalar, e: Fraction):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
-from .cartan import simple_root
+from .cartan import marks
 from .grouplike import Character, standard_group
 from .linalg import add_into
 
@@ -128,14 +128,9 @@ class CotensorAlgebra:
         self.one = params.one
         self.zero = params.zero
         n = datum.n
-        # With a weight letter the torus characters involve ambient roots of
-        # unity that need not be compatible with the finite quotient, so the
-        # group stays free in that case.
-        finite = params.mode == "root_of_unity" and lam is None
-        moduli = params.orders if finite else None
-        self.group = standard_group(n, with_weight=lam is not None,
-                                    moduli=moduli)
-        g = self.group
+        # finite at a root of unity, weight letter or not: every character
+        # value is an integral power of the order-ell parameters
+        self.group = g = standard_group(n, moduli=params.orders)
         self.letters = {}
         zero_w = (Fraction(0),) * n
 
@@ -143,44 +138,29 @@ class CotensorAlgebra:
             self.letters[tag] = LetterData(tag, grading, Character(g, values),
                                            tuple(weight))
 
+        # character values listed on K_0..K_{n-1}, then K'_0..K'_{n-1}
         for j in range(n):
-            alpha_j = simple_root(datum, j)
             ew, fw = list(zero_w), list(zero_w)
             ew[j] = Fraction(1)
             fw[j] = Fraction(-1)
-            evals, fvals, xvals = [], [], []
-            for tag in g.gens:
-                if tag[0] == "K":
-                    i = tag[1]
-                    evals.append(params.entry(i, j))
-                    fvals.append(params.entry(i, j) ** -1)
-                elif tag[0] == "Kp":
-                    i = tag[1]
-                    evals.append(params.entry(j, i) ** -1)
-                    fvals.append(params.entry(j, i))
-                else:
-                    qal = params.q_pairing(alpha_j, lam)
-                    evals.append(qal ** -1)
-                    fvals.append(qal)
-                xvals.append(self.one)
-            add_letter(("E", j), g.basis(("K", j)), evals, ew)
-            add_letter(("F", j), g.basis(("Kp", j), -1), fvals, fw)
+            col = [params.entry(i, j) for i in range(n)]
+            row = [params.entry(j, i) for i in range(n)]
+            add_letter(("E", j), g.basis(("K", j)),
+                       col + [v ** -1 for v in row], ew)
+            add_letter(("F", j), g.basis(("Kp", j), -1),
+                       [v ** -1 for v in col] + row, fw)
             add_letter(("X", j),
                        g.element([(("K", j), 1), (("Kp", j), -1)]),
-                       xvals, zero_w)
+                       [self.one] * (2 * n), zero_w)
         if lam is not None:
-            vvals = []
-            for tag in g.gens:
-                if tag[0] == "K":
-                    vvals.append(params.q_pairing(simple_root(datum, tag[1]),
-                                                  lam))
-                elif tag[0] == "Kp":
-                    vvals.append(
-                        params.q_pairing(lam, simple_root(datum, tag[1])) ** -1
-                    )
-                else:
-                    vvals.append(params.q_pairing(lam, lam))
-            add_letter(("V",), g.basis(("KL",)), vvals, lam.coords)
+            # graded by the identity, with K_i -> 1 and K'_i -> q_ii^-m_i:
+            # the mutual braiding of F_i and V is q_ii^m_i, which makes the
+            # adjoint orbit of V the module L(lam) (Rosso 1998)
+            m = marks(datum, lam)
+            add_letter(("V",), g.identity,
+                       [self.one] * n
+                       + [params.power(i, i, -m[i]) for i in range(n)],
+                       lam.coords)
         self.alpha = {}
         for i in range(n):
             coeff = params.entry(i, i) / (params.entry(i, i) - self.one)

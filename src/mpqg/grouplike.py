@@ -1,9 +1,8 @@
 """The abelian grading group, its characters, and bicharacters.
 
 Generators are tagged tuples: ("K", i) and ("Kp", i) for the two torus
-families, plus an optional ("KL",) adjoined when a highest-weight letter is
-present.  Group elements are plain exponent tuples, reduced componentwise by
-the per-generator modulus (0 means infinite order).  Characters and
+families.  Group elements are plain exponent tuples, reduced componentwise
+by the per-generator modulus (0 means infinite order).  Characters and
 bicharacters are stored by their values on generators and extended
 (bi)multiplicatively.
 """
@@ -20,8 +19,6 @@ def render_tag(tag) -> str:
         return f"K{tag[1]}"
     if kind == "Kp":
         return f"K'{tag[1]}"
-    if kind == "KL":
-        return "KL"
     return repr(tag)
 
 
@@ -88,10 +85,9 @@ class GradingGroup:
         return "*".join(parts) if parts else "1"
 
 
-def standard_group(n, *, with_weight=False, moduli=None) -> GradingGroup:
-    """The grading group on K_0..K_{n-1}, K'_0..K'_{n-1} (and optionally the
-    weight generator).  ``moduli`` gives the common finite order of K_i and
-    K'_i per index; the weight generator always has infinite order."""
+def standard_group(n, *, moduli=None) -> GradingGroup:
+    """The grading group on K_0..K_{n-1}, K'_0..K'_{n-1}.  ``moduli`` gives
+    the common finite order of K_i and K'_i per index."""
     gens = [("K", i) for i in range(n)] + [("Kp", i) for i in range(n)]
     if moduli is None:
         mods = [0] * (2 * n)
@@ -99,9 +95,6 @@ def standard_group(n, *, with_weight=False, moduli=None) -> GradingGroup:
         mods = list(moduli) + list(moduli)
         if len(moduli) != n:
             raise ValueError(f"need {n} moduli")
-    if with_weight:
-        gens.append(("KL",))
-        mods.append(0)
     return GradingGroup(gens, mods)
 
 
@@ -194,10 +187,10 @@ def build_bicharacter(group, q, qhat) -> Bicharacter:
         sigma(K_i, K_j)  = qhat_ij / q_ij   (i < j, else 1)
         sigma(K'_i,K'_j) = qhat_ij / q_ij   (i < j, else 1)
         sigma(K'_i, K_j) = qhat_ji^-1 q_ji  (all i, j)
-        sigma(K_j, K'_i) = 1                (all i, j)
+        sigma(K_j, K'_i) = 1                (all i, j).
 
-    and 1 against the weight generator.  It satisfies the antisymmetrized
-    constraints for all pairs and sigma(K_i, K'_i) = 1.
+    It satisfies the antisymmetrized constraints for all pairs and
+    sigma(K_i, K'_i) = 1.
     """
     n = q.datum.n
     if qhat.datum is not q.datum and qhat.datum.a != q.datum.a:

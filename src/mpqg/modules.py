@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
 
-from .cartan import (LatticeVector, ParamMatrix, coweight_pairing,
+from .cartan import (LatticeVector, ParamMatrix, coweight_pairing, marks,
                      positive_roots, rho, simple_root)
 from .cotensor import Word
 from .linalg import Matrix
@@ -48,20 +47,6 @@ class FiniteTypeError(ValueError):
     scope, so the verdict is undecided, not a failure."""
 
 
-def weight_denominator(lam) -> int:
-    """Least D with every pairwise product of root coordinates of the weight
-    in (1/D)Z -- the ambient refinement a root-of-unity parameter matrix
-    needs so that all torus characters the weight letter introduces stay
-    exact."""
-    out = 1
-    coords = [Fraction(c) for c in lam.coords]
-    for x in coords:
-        out = lcm(out, x.denominator)
-        for y in coords:
-            out = lcm(out, (x * y).denominator)
-    return out
-
-
 class HighestWeightModule:
     """Lowering closure of the highest-weight word, with exact weight-space
     bases and the actions of all presented generators.
@@ -75,15 +60,7 @@ class HighestWeightModule:
         self.datum = datum
         self.params = params
         self.lam = lam
-        marks = []
-        for i in range(datum.n):
-            m = coweight_pairing(datum, lam, simple_root(datum, i))
-            if m.denominator != 1 or m < 0:
-                raise ValueError(
-                    f"weight is not dominant integral: pairing with coroot "
-                    f"{i} is {m}")
-            marks.append(int(m))
-        self.marks = tuple(marks)
+        self.marks = marks(datum, lam)
         if max_depth is None:
             if not datum.is_finite_type():
                 raise ValueError(
@@ -309,10 +286,7 @@ def alcove_check(datum, lam, ell):
                  for i in range(datum.n) for j in range(datum.n) if i != j)
     if triple and ell % 3 == 0:
         raise ValueError("a triple bond requires an order prime to 3")
-    for i in range(datum.n):
-        m = coweight_pairing(datum, lam, simple_root(datum, i))
-        if m.denominator != 1 or m < 0:
-            raise ValueError("weight is not dominant integral")
+    marks(datum, lam)  # raises unless lam is dominant integral
     shifted = lam + rho(datum)
     for beta in positive_roots(datum):
         v = coweight_pairing(datum, shifted, beta)
@@ -322,13 +296,10 @@ def alcove_check(datum, lam, ell):
 
 
 def root_of_unity_module(datum, lam, ell, *, offdiag=None, max_depth=None):
-    """Module over order-ell cyclotomic parameters (ambient field refined by
-    the weight's coordinate denominators); refuses weights outside the
-    alcove."""
+    """Module over order-ell cyclotomic parameters, in Q(zeta_ell) and over
+    the finite grading group; refuses weights outside the alcove."""
     if not alcove_check(datum, lam, ell):
         raise ValueError(
             f"weight {render_weight(lam)} lies outside the order-{ell} alcove")
-    params = ParamMatrix.root_of_unity(
-        datum, ell, weight_denominator=weight_denominator(lam),
-        offdiag=offdiag)
+    params = ParamMatrix.root_of_unity(datum, ell, offdiag=offdiag)
     return build_module(datum, params, lam, max_depth=max_depth)

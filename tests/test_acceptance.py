@@ -22,8 +22,7 @@ from math import comb
 from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix,
                          kostant_count, weyl_dim)
 from mpqg.cli import DEFAULTS, RunConfig, cmd_check_hopf
-from mpqg.modules import (alcove_check, build_module, root_of_unity_module,
-                          weight_denominator)
+from mpqg.modules import alcove_check, build_module, root_of_unity_module
 from mpqg.pairing import SkewPairing, weights_of_height
 from mpqg.realization import IdealReducer, Realization, relation_verdict
 from mpqg.scalars import Scalar, q_binomial, specialize
@@ -171,8 +170,7 @@ def _a1_case(m):
     if m <= 3:
         params = ParamMatrix.symbolic(datum)
     else:
-        params = ParamMatrix.numeric(
-            datum, {(0, 0): Fraction(2) ** weight_denominator(lam)})
+        params = ParamMatrix.numeric(datum, {(0, 0): Fraction(2)})
     return datum, params, lam, m + 1
 
 

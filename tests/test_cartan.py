@@ -230,32 +230,26 @@ def test_q_pairing_simple_roots():
 
 def test_fractional_powers_symbolic():
     a1 = CartanDatum.preset("A1")
-    pm = ParamMatrix.symbolic(a1)
-    half = pm.power(0, 0, Fraction(1, 2))
-    assert half * half == pm.entry(0, 0)
-    # q-pairing of half-integral weights
-    lam = LatticeVector((Fraction(1, 2),))
-    val = pm.q_pairing(lam, lam)
-    assert val ** 4 == pm.entry(0, 0)
+    for pm in (ParamMatrix.symbolic(a1),
+               ParamMatrix.numeric(a1, {(0, 0): Fraction(4)}),
+               ParamMatrix.root_of_unity(a1, 5)):
+        assert pm.power(0, 0, Fraction(-2)) == pm.entry(0, 0) ** -2
+        # a non-integral exponent is refused in every mode
+        with pytest.raises(ValueError, match="non-integral"):
+            pm.power(0, 0, Fraction(1, 2))
 
 
 def test_root_of_unity_mode():
     a1 = CartanDatum.preset("A1")
-    pm = ParamMatrix.root_of_unity(a1, 5, weight_denominator=2)
-    assert pm.ambient == 10
-    assert pm.entry(0, 0) == zeta(10, 2)
+    pm = ParamMatrix.root_of_unity(a1, 5)
+    assert pm.ell == 5
+    assert pm.entry(0, 0) == zeta(5, 1)
     assert pm.entry(0, 0).multiplicative_order() == 5
-    # q^(m/2) pairings resolve exactly in the ambient field
-    lam = LatticeVector((Fraction(3, 2),))
     alpha = simple_root(a1, 0)
-    assert pm.q_pairing(lam, alpha) == zeta(10, 3)
-    # a genuinely fractional power is refused
-    with pytest.raises(ValueError):
-        pm.power(0, 0, Fraction(1, 4))
+    assert pm.q_pairing(3 * alpha, alpha) == zeta(5, 3)
 
     a2 = CartanDatum.preset("A2")
-    pm2 = ParamMatrix.root_of_unity(a2, 5, weight_denominator=3,
-                                    offdiag={(0, 1): 2})
+    pm2 = ParamMatrix.root_of_unity(a2, 5, offdiag={(0, 1): 2})
     assert pm2.entry(0, 1) * pm2.entry(1, 0) == pm2.entry(0, 0) ** -1
 
     # B2: the long root carries zeta^2, preserving order 5 and the constraint

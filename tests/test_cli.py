@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mpqg import cli
+from mpqg import cli, cotensor
 from mpqg.cli import main, parse_config_text, ConfigError
 from mpqg.cotensor import CotensorAlgebra, Word
 from mpqg.linalg import add_into as linalg_add_into
@@ -378,7 +378,7 @@ def test_smallqg_ladder(tmp_path, capsys):
      "alcove membership needs a finite-type datum"),
     # a bad weight on a finite-type datum is still a failure
     ("preset = 'A2'\nweights = [[-1, 0]]\n", "fail",
-     "weight is not dominant integral"),
+     "weight is not dominant integral: pairing with coroot 0 is -2"),
 ], ids=["affine", "non-dominant"])
 def test_smallqg_alcove_hypotheses(tmp_path, capsys, text, status, detail):
     cfg = write_config(tmp_path, text)
@@ -480,6 +480,21 @@ def test_broken_raising_action_fails(tmp_path, monkeypatch, capsys, mutant,
     failed = [(r["check"], r["detail"]) for r in records
               if r["status"] != "pass"]
     assert failed == [("module/relations", detail)]
+
+
+@pytest.mark.parametrize("mark", [lambda m: -m, lambda m: m + 1],
+                         ids=["inverted", "one-too-many"])
+def test_wrong_weight_character_fails(tmp_path, monkeypatch, capsys, mark):
+    # the weight letter maps K'_i to q_ii^-m_i; q_ii^m_i or q_ii^-(m_i + 1)
+    # gives no module, and no record may pass on it
+    marks = cotensor.marks
+    monkeypatch.setattr(cotensor, "marks", lambda datum, lam: tuple(
+        mark(m) for m in marks(datum, lam)))
+    cfg = write_config(tmp_path, A2_NUMERIC_11)
+    code, records = run_json(capsys, ["module", "--config", cfg])
+    assert code == 1
+    assert records
+    assert all(r["status"] != "pass" for r in records)
 
 
 def test_module_invocation_via_interpreter():

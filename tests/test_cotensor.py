@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix,
-                         fundamental_weight)
+from mpqg.cartan import CartanDatum, ParamMatrix, fundamental_weight, rho
 from mpqg.cotensor import CotensorAlgebra, Word, word_key
 from mpqg.linalg import Echelon, add_into
 from mpqg.scalars import q_factorial, q_int
@@ -191,7 +190,7 @@ def test_left_tail_factors_out_of_products(preset_params):
     # second variant of a letter pair is derived from the cached walk
     datum, params = preset_params
     rng = random.Random(20261019)
-    lam = LatticeVector((Fraction(1),) * datum.n)
+    lam = rho(datum)  # the weight letter needs a dominant integral weight
     for alg in (CotensorAlgebra(datum, params),
                 CotensorAlgebra(datum, params, lam)):
         g = alg.group
@@ -357,15 +356,17 @@ def test_highest_weight_letter_machinery():
     alg = CotensorAlgebra(datum, ParamMatrix.symbolic(datum), lam)
     v = alg.letter_element(("V",))
     g = alg.group
-    # group-like coproduct tail and the torus eigenvalue
+    # graded by the identity: v is primitive
     cp = alg.coproduct(v)
-    kl = Word((), g.basis(("KL",)))
-    assert cp == {(kl, alg.word([("V",)])): alg.one,
-                  (alg.word([("V",)]), Word((), g.identity)): alg.one}
-    out = alg.product(alg.group_like(g.basis(("K", 0))), v)
-    from mpqg.cartan import simple_root
-    ev = alg.params.q_pairing(simple_root(datum, 0), lam)
-    assert out == alg.element({alg.word([("V",)], g.basis(("K", 0))): ev})
+    unit = Word((), g.identity)
+    assert cp == {(unit, alg.word([("V",)])): alg.one,
+                  (alg.word([("V",)]), unit): alg.one}
+    # the torus eigenvalues: K_i -> 1, K'_i -> q_ii^-m_i with marks (1, 0)
+    for tag, ev in ((("K", 0), alg.one), (("K", 1), alg.one),
+                    (("Kp", 0), alg.params.entry(0, 0) ** -1),
+                    (("Kp", 1), alg.one)):
+        out = alg.product(alg.group_like(g.basis(tag)), v)
+        assert out == alg.element({alg.word([("V",)], g.basis(tag)): ev})
     assert alg.weight_of_word(alg.word([("V",)])) == lam.coords
 
 

@@ -29,16 +29,17 @@ A1_ROOT_OF_UNITY_HOPF = ("preset = 'A1'\nmode = 'root-of-unity'\n"
                          "word_length = 3\n")
 G2 = "preset = 'G2'\n"
 G2_GRAM_H5 = "preset = 'G2'\nmax_height = 5\n"
-B2_NUMERIC_GRAM = ("preset = 'B2'\nmode = 'numeric'\n"
-                   "numeric = {(0, 0): 9, (1, 1): 3, (0, 1): 5}\n"
-                   "max_height = 4\n")
-A2_NUMERIC_MODULE = ("preset = 'A2'\nmode = 'numeric'\n"
-                     "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
-                     "weights = [[1, 1]]\n")
+B2_NUMERIC = ("preset = 'B2'\nmode = 'numeric'\n"
+              "numeric = {(0, 0): 9, (1, 1): 3, (0, 1): 5}\n")
+B2_NUMERIC_GRAM = B2_NUMERIC + "max_height = 4\n"
+# fractional root coordinates: the marks are (0, 1), no parameter root
+B2_NUMERIC_MODULE_HALF = B2_NUMERIC + "weights = [['1/2', 1]]\n"
+# no weights: the default first fundamental weight (2/3, 1/3)
+A2_NUMERIC = ("preset = 'A2'\nmode = 'numeric'\n"
+              "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n")
+A2_NUMERIC_MODULE = A2_NUMERIC + "weights = [[1, 1]]\n"
 A2_MODULE_11 = "preset = 'A2'\nweights = [[1, 1]]\n"
-A2_NUMERIC_MODULE_21 = ("preset = 'A2'\nmode = 'numeric'\n"
-                        "numeric = {(0, 0): 5, (1, 1): 5, (0, 1): 3}\n"
-                        "weights = [[2, 1]]\n")
+A2_NUMERIC_MODULE_21 = A2_NUMERIC + "weights = [[2, 1]]\n"
 B2_ROOT_OF_UNITY_GRAM = ("preset = 'B2'\nmode = 'root-of-unity'\nell = 5\n"
                          "max_height = 4\n")
 A2_ROOT_OF_UNITY_MODULE = ("preset = 'A2'\nmode = 'root-of-unity'\nell = 5\n"
@@ -58,6 +59,7 @@ RUNS = {
     "a2-module": (["module"], None),
     "a2-module-11": (["module"], A2_MODULE_11),
     "a2-numeric-module": (["module"], A2_NUMERIC_MODULE),
+    "a2-numeric-module-default": (["module"], A2_NUMERIC),
     "a2-numeric-module-21": (["module"], A2_NUMERIC_MODULE_21),
     "a2-root-of-unity-module": (["module"], A2_ROOT_OF_UNITY_MODULE),
     "a2-root-of-unity-pairing-gram": (["pairing", "gram"],
@@ -77,6 +79,7 @@ RUNS = {
     "g2-pairing-gram-h5": (["pairing", "gram"], G2_GRAM_H5),
     "g2-smallqg": (["smallqg"], G2),
     "b2-numeric-pairing-gram": (["pairing", "gram"], B2_NUMERIC_GRAM),
+    "b2-numeric-module-half": (["module"], B2_NUMERIC_MODULE_HALF),
     "b2-root-of-unity-pairing-gram": (["pairing", "gram"],
                                       B2_ROOT_OF_UNITY_GRAM),
 }

@@ -11,7 +11,7 @@ from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, simple_root, we
 from mpqg.cotensor import Word, word_key
 from mpqg.linalg import Echelon, add_into
 from mpqg.modules import (ClosureError, alcove_check, build_module,
-                          root_of_unity_module, weight_denominator)
+                          root_of_unity_module)
 from mpqg.realization import (IdealReducer, NormalFormTable, e, f,
                               has_contraction)
 from mpqg.scalars import q_factorial
@@ -28,9 +28,7 @@ def a1_module(m, mode="symbolic"):
     if mode == "symbolic":
         pm = ParamMatrix.symbolic(A1)
     else:
-        # entries are perfect powers matching the weight's coordinate
-        # denominators, so every fractional pairing resolves exactly
-        pm = ParamMatrix.numeric(A1, {(0, 0): Fraction(2) ** weight_denominator(lam)})
+        pm = ParamMatrix.numeric(A1, {(0, 0): Fraction(2)})
     return build_module(A1, pm, lam)
 
 
@@ -66,26 +64,18 @@ def test_rejects_non_dominant_or_non_integral_weights():
         build_module(A1, pm1, LatticeVector((Fraction(1, 3),)))
 
 
-def test_weight_denominator():
-    assert weight_denominator(LatticeVector((Fraction(2),))) == 1
-    assert weight_denominator(LatticeVector((Fraction(5, 2),))) == 4
-    assert weight_denominator(LatticeVector((Fraction(2, 3), Fraction(1, 3)))) == 9
-
-
 # -- helpers: the lowering closed form and the coinvariant projection ---------------
 
 
 def lowering_closed_form(mod, i, r):
     """The r-th lowering power of the highest-weight word: factorial at the
     inverse diagonal parameter times a telescoping product of weight factors
-    on a single chain word."""
+    q_ii^(k - 1 - m_i) - 1 on a single chain word."""
     pm, alg = mod.params, mod.alg
     qii = pm.entry(i, i)
-    qla = pm.q_pairing(mod.lam, simple_root(mod.datum, i))
-    qal = pm.q_pairing(simple_root(mod.datum, i), mod.lam)
     coeff = q_factorial(r, qii ** -1)
     for k in range(1, r + 1):
-        coeff = coeff * (qii ** (k - 1) * qla ** -1 - qal)
+        coeff = coeff * (qii ** (k - 1 - mod.marks[i]) - pm.one)
     word = alg.word([("F", i)] * r + [("V",)])
     return alg.element({word: alg.coerce(coeff)})
 
@@ -125,35 +115,32 @@ def test_highest_vector_axioms():
     lam = mod.lam
     for i in range(2):
         assert mod.act(("e", i), v).is_zero
-        ai = simple_root(A2, i)
-        assert mod.act(("w", i, 1), v) == v.scale(pm.q_pairing(ai, lam))
+        assert mod.act(("w", i, 1), v) == v
         assert mod.act(("wp", i, 1), v) == \
-            v.scale(pm.q_pairing(lam, ai) ** -1)
+            v.scale(pm.entry(i, i) ** -mod.marks[i])
     assert {LatticeVector(alg.weight_of_word(w)) for w in v.terms} == {lam}
-    # coproduct of the highest-weight word: grading part plus bare-word part
+    # the weight letter is graded by the identity: the coproduct of the
+    # highest-weight word is v (x) 1 + 1 (x) v
     vw = Word((("V",),), g.identity)
-    kl = Word((), g.basis(("KL",)))
     unit_w = Word((), g.identity)
-    assert alg.coproduct(v) == {(kl, vw): alg.one, (vw, unit_w): alg.one}
-    # torus characters carried by the letters
-    vchar = alg.letters[("V",)].char
-    assert vchar(g.basis(("KL",))) == pm.q_pairing(lam, lam)
+    assert alg.coproduct(v) == {(unit_w, vw): alg.one, (vw, unit_w): alg.one}
+    # torus characters carried by the weight letter: K_i -> 1 and
+    # K'_i -> q_ii^-m_i, so the mutual braiding of F_i and V is q_ii^m_i
+    vletter = alg.letters[("V",)]
     for i in range(2):
-        ai = simple_root(A2, i)
-        assert vchar(g.basis(("K", i))) == pm.q_pairing(ai, lam)
-        assert vchar(g.basis(("Kp", i))) == pm.q_pairing(lam, ai) ** -1
-        assert alg.letters[("E", i)].char(g.basis(("KL",))) == \
-            pm.q_pairing(ai, lam) ** -1
-        assert alg.letters[("F", i)].char(g.basis(("KL",))) == \
-            pm.q_pairing(ai, lam)
+        assert vletter.char(g.basis(("K", i))) == alg.one
+        assert vletter.char(g.basis(("Kp", i))) == \
+            pm.entry(i, i) ** -mod.marks[i]
+        fletter = alg.letters[("F", i)]
+        assert fletter.char(vletter.grading) * \
+            vletter.char(fletter.grading) == pm.entry(i, i) ** mod.marks[i]
 
 
 def test_first_lowering_matches_hand_value():
     mod = a2_module((1, 1))
     alg, pm = mod.alg, mod.params
     for i in range(2):
-        ai = simple_root(A2, i)
-        coeff = pm.q_pairing(mod.lam, ai) ** -1 - pm.q_pairing(ai, mod.lam)
+        coeff = pm.entry(i, i) ** -mod.marks[i] - pm.one
         want = alg.element({alg.word([("F", i), ("V",)]): coeff})
         assert mod.act(("f", i), mod.highest_vector) == want
         assert lowering_closed_form(mod, i, 1) == want
@@ -281,14 +268,17 @@ def test_action_matrices_a1():
     # on the highest vector the commutator reduces to the torus part
     pm = mod.params
     c = pm.entry(0, 0) / (pm.entry(0, 0) - pm.one)
-    want = c * (pm.q_pairing(a0, lam) - pm.q_pairing(lam, a0) ** -1)
+    want = c * (pm.one - pm.entry(0, 0) ** -mod.marks[0])
     assert (me * mf).rows[0][0] == want
 
 
 def _torus_eigenvalue(mod, i, mu, primed):
+    # each F_j lowered below the highest weight contributes q_ij^-1 to K_i
+    # and q_ji to K'_i; the weight letter contributes 1 and q_ii^-m_i
+    pm, ai, beta = mod.params, simple_root(mod.datum, i), mod.lam - mu
     if primed:
-        return mod.params.q_pairing(mu, simple_root(mod.datum, i)) ** -1
-    return mod.params.q_pairing(simple_root(mod.datum, i), mu)
+        return pm.entry(i, i) ** -mod.marks[i] * pm.q_pairing(beta, ai)
+    return pm.q_pairing(ai, beta) ** -1
 
 
 def test_torus_matrices_are_diagonal():
@@ -414,7 +404,7 @@ def test_coinvariant_projection():
     assert is_right_coinvariant(alg, v)
     assert coinvariant_project(alg, v) == v
     # a twisted tail is not coinvariant; projection strips the tail
-    tw = alg.element({Word((("V",),), g.basis(("KL",))): alg.one})
+    tw = alg.element({Word((("V",),), g.basis(("K", 0))): alg.one})
     assert not is_right_coinvariant(alg, tw)
     proj = coinvariant_project(alg, tw)
     assert proj == v

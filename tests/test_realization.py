@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix
+from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, rho
 from mpqg.cotensor import Word
 from mpqg.realization import (FreeExpr, IdealReducer, NormalFormTable,
                               Realization, e, f, relation_verdict, w, wp)
@@ -330,7 +330,7 @@ def test_targeted_generator_matches_product_formula(preset_params):
     # reaches them, and of module-shaped words carrying the weight letter
     datum, params = preset_params
     rng = random.Random(20261019)
-    lam = LatticeVector((Fraction(1),) * datum.n)
+    lam = rho(datum)  # the weight letter needs a dominant integral weight
     cases = []
     for real, extra in ((Realization(datum, params), ()),
                         (Realization(datum, params, lam), (("V",),))):
