@@ -71,6 +71,9 @@ RUNS = {
     "cfg-a1-root-of-unity-smallqg": (["smallqg"], "a1-root-of-unity.cfg"),
     "cfg-b2-numeric-module": (["module"], "b2-numeric.cfg"),
     "cfg-g2-numeric-module": (["module"], "g2-numeric.cfg"),
+    "cfg-hyperbolic-23-check-relations": (["check", "relations"],
+                                          "hyperbolic-23.cfg"),
+    "cfg-hyperbolic-23-module": (["module"], "hyperbolic-23.cfg"),
     "a1-ladder-module": (["module"], A1_LADDER),
     "a1-check-hopf": (["check", "hopf"], A1_HOPF),
     "a1-root-of-unity-check-hopf": (["check", "hopf"], A1_ROOT_OF_UNITY_HOPF),
