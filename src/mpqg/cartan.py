@@ -17,10 +17,11 @@ a closed form, ``ParamMatrix._completed`` alone derives the entries below
 the diagonal as q_ji = q_ii^a_ij / q_ij, refusing a zero free entry.  The
 modes are:
 
-* ``symbolic``        -- per component a diagonal variable (named after the
-                         component's representative index) with
-                         q_ii = rep^(d_i/d_rep); off-diagonal q_ij free for
-                         i<j.
+* ``symbolic``        -- per component one base variable t (named after the
+                         component's representative index, the least d_i)
+                         with q_ii = t^(d_i/g), g the gcd of the
+                         component's d_i, so every exponent is an integer;
+                         off-diagonal q_ij free for i<j.
 * ``one_parameter``   -- q_ij = q ^ (d_i a_ij) in a single variable q.
 * ``mixed``           -- q_ii = q^(2 d_i), off-diagonal free (twist base).
 * ``numeric``         -- explicit Fractions for the diagonal and the free
@@ -39,7 +40,7 @@ from math import gcd
 
 from .cyclotomic import CyclotomicElement, zeta
 from .linalg import Matrix
-from .scalars import LaurentPoly, Scalar
+from .scalars import Scalar
 
 PRESETS = {
     "A1": (((2,),), (1,)),
@@ -320,9 +321,9 @@ class ParamMatrix:
         for comp in datum.components():
             rep = min(comp, key=lambda i: (datum.d[i], i))
             base = Scalar.variable(("q", rep, rep))
+            g = gcd(*(datum.d[i] for i in comp))
             for i in comp:
-                e = Fraction(datum.d[i], datum.d[rep])
-                diag[i] = _scalar_fract_power(base, e)
+                diag[i] = base ** (datum.d[i] // g)
         upper = {(i, j): Scalar.variable(("q", i, j))
                  for i in range(datum.n) for j in range(i + 1, datum.n)}
         return ParamMatrix._completed(datum, "symbolic", diag, upper)
@@ -394,9 +395,7 @@ class ParamMatrix:
             raise ValueError("the order must be an odd integer >= 3")
         zexp = {}
         for comp in datum.components():
-            g = 0
-            for i in comp:
-                g = gcd(g, datum.d[i])
+            g = gcd(*(datum.d[i] for i in comp))
             for i in comp:
                 c = datum.d[i] // g
                 if gcd(c, ell) != 1:
@@ -468,16 +467,3 @@ class ParamMatrix:
             return Fraction(x)
         return Scalar.coerce(x)
 
-
-def _scalar_fract_power(s: Scalar, e: Fraction):
-    """Fractional power of a symbolic scalar; only defined when the scalar is
-    a single monomial (all parameter-matrix entries are)."""
-    if e.denominator == 1:
-        return s ** int(e)
-    if len(s.num.terms) != 1 or not s.den.is_one:
-        raise ValueError(f"fractional power of a non-monomial scalar: {s}")
-    (mono, coeff), = s.num.terms.items()
-    if coeff != 1:
-        raise ValueError(f"fractional power of a non-monic monomial: {s}")
-    new = tuple((v, ex * e) for v, ex in mono)
-    return Scalar(LaurentPoly({new: 1}))

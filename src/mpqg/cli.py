@@ -128,12 +128,13 @@ class RunConfig:
     def __init__(self, settings):
         self.settings = settings
         preset, cartan = settings["preset"], settings["cartan"]
+        symmetrizers = settings["symmetrizers"]
+        if (cartan is None) != (symmetrizers is None):
+            raise ConfigError("'cartan' and 'symmetrizers' go together; "
+                              "give both or neither")
         if cartan is not None:
-            if settings["symmetrizers"] is None:
-                raise ConfigError(
-                    "'cartan' requires 'symmetrizers' alongside it")
             try:
-                self.datum = CartanDatum(cartan, settings["symmetrizers"])
+                self.datum = CartanDatum(cartan, symmetrizers)
             except (ValueError, TypeError) as ex:
                 raise ConfigError(f"invalid Cartan datum: {ex}")
             self.datum_label = f"custom(n={self.datum.n})"

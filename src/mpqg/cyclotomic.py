@@ -310,18 +310,3 @@ def _divisors(n):
         d += 1
     return out
 
-
-class RootOfUnity:
-    """Symbolic marker: zeta_order^exponent, used in specialization
-    assignments so fractional exponents resolve exactly."""
-
-    __slots__ = ("order", "exponent")
-
-    def __init__(self, order: int, exponent: int = 1):
-        if order < 1:
-            raise ValueError("order must be positive")
-        self.order = order
-        self.exponent = exponent % order
-
-    def __repr__(self):
-        return f"RootOfUnity({self.order}, {self.exponent})"

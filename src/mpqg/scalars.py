@@ -1,16 +1,16 @@
 """Exact coefficient arithmetic.
 
 Everything downstream runs over the fraction field of Laurent polynomials in
-finitely many commuting parameters with *rational* exponents and rational
+finitely many commuting parameters with integer exponents and rational
 coefficients.  No floats anywhere; zero-testing is literal.
 
 Conventions
 -----------
 * A variable is a tuple: ``('q',)`` for a single parameter, ``('q', i, j)``
   for the (i, j) entry of a parameter matrix (0-based indices).
-* Exponents and coefficients are ``int`` when integral and ``Fraction``
-  otherwise (an integral ``Fraction`` may also occur; it has the same ``==``,
-  ``hash`` and ``str`` as its ``int``).  Every division builds
+* Exponents are ``int``.  Coefficients are ``int`` when integral and
+  ``Fraction`` otherwise (an integral ``Fraction`` may also occur; it has the
+  same ``==``, ``hash`` and ``str`` as its ``int``).  Every division builds
   ``Fraction(a, b)``, never ``a / b``, which is a float on two ints.
 * A monomial is a tuple of ``(var, exponent)`` pairs sorted by variable, with
   all exponents nonzero.  The empty tuple is the monomial 1.
@@ -26,7 +26,6 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 ZERO = 0
 ONE = 1
@@ -128,12 +127,7 @@ def mono_str(m) -> str:
         return "1"
     parts = []
     for v, e in m:
-        if e == 1:
-            parts.append(var_name(v))
-        elif e.denominator == 1:
-            parts.append(f"{var_name(v)}^{e.numerator}")
-        else:
-            parts.append(f"{var_name(v)}^({e})")
+        parts.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
     return "*".join(parts)
 
 
@@ -156,10 +150,12 @@ class LaurentPoly:
 
     @staticmethod
     def variable(v, exp=1):
-        e = _rational(Fraction(exp))
-        if not e:
+        # type, not isinstance: True is not an exponent of 1
+        if type(exp) is not int:
+            raise TypeError(f"exponent must be an int, not {exp!r}")
+        if not exp:
             return LaurentPoly({(): ONE})
-        return LaurentPoly({((v, e),): ONE})
+        return LaurentPoly({((v, exp),): ONE})
 
     @property
     def is_zero(self):
@@ -558,92 +554,34 @@ class SpecializationError(ValueError):
     pass
 
 
-def _value_power(val, exp: Fraction):
-    from .cyclotomic import CyclotomicElement, RootOfUnity  # local: avoid cycle
-
-    if isinstance(val, RootOfUnity):
-        raise TypeError("RootOfUnity values are resolved by specialize()")
-    if exp.denominator == 1:
-        k = exp.numerator
-        if k < 0 and isinstance(val, int):
-            return Fraction(1, val ** -k)
-        return val ** k
-    if val == 1:
-        return val ** 0
-    if isinstance(val, CyclotomicElement):
-        raise SpecializationError(
-            f"fractional exponent {exp} of a non-monomial cyclotomic value; "
-            "pass a RootOfUnity instead"
-        )
-    raise SpecializationError(f"fractional exponent {exp} of rational value {val}")
-
-
 def specialize(s, assignment):
     """Evaluate a Scalar under var -> value.
 
-    Values may be int, Fraction, CyclotomicElement, or RootOfUnity (an exact
-    power of a primitive root; fractional exponents of those are resolved in
-    a common cyclotomic field chosen from the exponent denominators present).
-    Raises SpecializationError if the denominator vanishes or a fractional
-    exponent cannot be resolved exactly.
+    Values may be int, Fraction or CyclotomicElement (``zeta(n, k)`` for a
+    root of unity); an int is lifted to a Fraction, so a negative power
+    stays exact.  Raises SpecializationError if a variable has no value, if
+    a variable with a negative exponent is given 0, or if the denominator
+    vanishes.
     """
-    from .cyclotomic import CyclotomicElement, RootOfUnity, zeta
-
     s = Scalar.coerce(s)
-    roots = {v: val for v, val in assignment.items() if isinstance(val, RootOfUnity)}
-    ambient = 1
-    if roots:
-        denom = 1
-        for poly in (s.num, s.den):
-            for m in poly.terms.items():
-                for v, e in m[0]:
-                    if v in roots:
-                        denom = denom * e.denominator // gcd(denom, e.denominator)
-        base = 1
-        for r in roots.values():
-            base = base * r.order // gcd(base, r.order)
-        ambient = base * denom
+    values = {v: Fraction(x) if isinstance(x, int) else x
+              for v, x in assignment.items()}
 
     def eval_poly(p):
-        total = None
+        total = Fraction(0)
         for m, c in p.terms.items():
-            term = None
             for v, e in m:
-                if v not in assignment:
+                if v not in values:
                     raise SpecializationError(f"no value for variable {var_name(v)}")
-                val = assignment[v]
-                if isinstance(val, RootOfUnity):
-                    k = Fraction(val.exponent) * e * Fraction(ambient, val.order)
-                    if k.denominator != 1:
-                        raise SpecializationError(
-                            f"root-of-unity exponent {k} not integral at ambient {ambient}"
-                        )
-                    factor = zeta(ambient, int(k))
-                else:
-                    factor = _value_power(val, e)
-                term = factor if term is None else term * factor
-            if term is None:
-                term = 1 if not roots else zeta(ambient, 0)
-            piece = term * c
-            total = piece if total is None else total + piece
-        if total is None:
-            return Fraction(0) if not roots else zeta(ambient, 0) * 0
+                val = values[v]
+                if e < 0 and not val:
+                    raise SpecializationError(
+                        f"negative power of {var_name(v)} at the value 0")
+                c = c * val ** e
+            total = total + c
         return total
 
     den_val = eval_poly(s.den)
     if not den_val:
         raise SpecializationError(f"denominator vanishes under assignment: {s.den}")
-    num_val = eval_poly(s.num)
-    if isinstance(num_val, (int, Fraction)) and isinstance(den_val, (int, Fraction)):
-        return Fraction(num_val, den_val)
-    return num_val * _invert(den_val)
-
-
-def _invert(x):
-    from .cyclotomic import CyclotomicElement
-
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1, x)
-    if isinstance(x, CyclotomicElement):
-        return x.inverse()
-    raise TypeError(f"cannot invert {x!r}")
+    return eval_poly(s.num) / den_val

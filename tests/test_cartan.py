@@ -169,6 +169,22 @@ def test_symbolic_diagonal_tied_per_component():
     assert pm.entry(0, 0) != pm.entry(1, 1)
 
 
+def test_symbolic_diagonal_from_the_gcd_base():
+    # d = (2, 3): the least symmetrizer does not divide the other, and with
+    # g = gcd(2, 3) = 1 the diagonal is t^2, t^3 in one base variable t
+    hyp = CartanDatum(((2, -3), (-2, 2)), (2, 3))
+    pm = ParamMatrix.symbolic(hyp)
+    t = Scalar.variable(("q", 0, 0))
+    assert pm.entry(0, 0) == t ** 2 and pm.entry(1, 1) == t ** 3
+    assert str(pm.entry(1, 1)) == "q11^3"
+    for d in [CartanDatum.preset(name) for name in ALL_PRESETS] + [hyp]:
+        pm = ParamMatrix.symbolic(d)
+        for s in pm.entries.values():
+            for poly in (s.num, s.den):
+                assert all(type(e) is int
+                           for m in poly.terms for _, e in m), (d, s)
+
+
 def test_numeric_mode():
     a2 = CartanDatum.preset("A2")
     pm = ParamMatrix.numeric(a2, {(0, 0): 4, (1, 1): 4, (0, 1): Fraction(3, 5)})

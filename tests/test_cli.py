@@ -83,6 +83,7 @@ def test_parse_config_rejections(line, fragment):
     "format = 'xml'\n",
     "qhat = 'random'\n",
     "cartan = [[2, -1], [-1, 2]]\n",             # missing symmetrizers
+    "preset = 'B2'\nsymmetrizers = [1, 1]\n",     # symmetrizers without cartan
     "weights = [[1, 2, 3]]\n",                   # wrong rank for A2
     "weights = [['1/0']]\n",
     "bound = True\n",

@@ -5,13 +5,11 @@ import pytest
 
 from mpqg.cyclotomic import (
     CyclotomicElement,
-    RootOfUnity,
     _reduced,
     cyclotomic_polynomial,
     reduction_table,
     zeta,
 )
-from mpqg.scalars import Scalar, specialize
 
 
 def test_cyclotomic_polynomials_small():
@@ -55,18 +53,6 @@ def test_zero_division():
 def test_mixed_order_rejected():
     with pytest.raises(ValueError):
         zeta(5) + zeta(7)
-
-
-def test_root_of_unity_embedding():
-    # specialization resolves a root marker in the field of the lcm of all
-    # root orders it is given: zeta_5^2 alone, zeta_10^4 next to a root of
-    # order 2
-    q, p = ("q", 0, 0), ("q", 1, 1)
-    r = RootOfUnity(5, 2)
-    assert specialize(Scalar.variable(q), {q: r}) == zeta(5, 2)
-    big = specialize(Scalar.variable(q), {q: r, p: RootOfUnity(2)})
-    assert big.order == 10 and big == zeta(10, 4)
-    assert big ** 5 == 1
 
 
 def test_field_axioms_sampled():
