@@ -54,7 +54,7 @@ PRESETS = {
 class CartanDatum:
     """Generalized Cartan matrix with a fixed symmetrizer."""
 
-    __slots__ = ("a", "d", "n", "name")
+    __slots__ = ("a", "d", "n", "name", "_roots")
 
     def __init__(self, a, d, name=None):
         a = tuple(tuple(row) for row in a)
@@ -83,6 +83,7 @@ class CartanDatum:
         self.d = d
         self.n = n
         self.name = name
+        self._roots = None  # filled by `positive_roots`
 
     @staticmethod
     def preset(name: str) -> "CartanDatum":
@@ -220,7 +221,10 @@ def fundamental_weight(datum, i) -> LatticeVector:
 
 def positive_roots(datum):
     """All positive roots of a finite-type datum, by closing the simple
-    roots under simple reflections."""
+    roots under simple reflections; computed once per datum, handed out as
+    a fresh list."""
+    if datum._roots is not None:
+        return list(datum._roots)
     if not datum.is_finite_type():
         raise ValueError("positive roots require a finite-type datum")
     simples = [simple_root(datum, i) for i in range(datum.n)]
@@ -237,7 +241,8 @@ def positive_roots(datum):
             if g.is_positive and g not in roots:
                 roots.add(g)
                 frontier.append(g)
-    return sorted(roots, key=lambda b: (b.height(), b.coords))
+    datum._roots = tuple(sorted(roots, key=lambda b: (b.height(), b.coords)))
+    return list(datum._roots)
 
 
 def rho(datum) -> LatticeVector:
@@ -265,23 +270,29 @@ def weyl_dim(datum, lam) -> int:
 
 def kostant_count(datum, beta) -> int:
     """Number of ways to write beta as a multiset of positive roots."""
-    roots = positive_roots(datum)
+    roots = [tuple(int(c) for c in r.coords) for r in positive_roots(datum)]
+    memo = {}
 
     def count(target, idx):
-        if not any(target.coords):
+        # partitions of target into roots[idx:]
+        if not any(target):
             return 1
         if idx == len(roots):
             return 0
-        if any(c < 0 for c in target.coords):
-            return 0
-        total = 0
-        cur = target
-        while all(c >= 0 for c in cur.coords):
-            total += count(cur, idx + 1)
-            cur = cur - roots[idx]
-        return total
+        key = (target, idx)
+        if key not in memo:
+            total = 0
+            root = roots[idx]
+            cur = target
+            while all(c >= 0 for c in cur):
+                total += count(cur, idx + 1)
+                cur = tuple(c - r for c, r in zip(cur, root))
+            memo[key] = total
+        return memo[key]
 
-    return count(beta, 0)
+    if not beta.is_integral:
+        return 0
+    return count(tuple(int(c) for c in beta.coords), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +423,9 @@ class ParamMatrix:
                 elif i > j:
                     zexp[(i, j)] = zexp[(j, j)] * datum.a[j][i] - zexp[(j, i)]
         entries = {key: zeta(ell, e % ell) for key, e in zexp.items()}
-        orders = []
-        for i in range(datum.n):
-            got = entries[(i, i)].multiplicative_order()
-            if got != ell:
-                raise ValueError(
-                    f"q_{i}{i} has order {got}, not the requested {ell}")
-            orders.append(got)
+        # zeta_ell^c has order ell for every c coprime to ell
         return ParamMatrix(datum, "root_of_unity", entries,
-                           orders=tuple(orders), ell=ell, zexp=zexp)
+                           orders=(ell,) * datum.n, ell=ell, zexp=zexp)
 
     # -- operations -----------------------------------------------------------
 

@@ -471,13 +471,14 @@ def cmd_pairing_gram(cfg):
                 if not cfg.datum.is_finite_type():
                     return "undecided", ("no partition-count oracle for a "
                                          "datum not of finite type")
-                f_basis, e_basis, gram = pairing.gram_matrix(beta)
+                f_basis, e_basis, factors, coeffs = pairing.gram_matrix(beta)
                 want = kostant_count(cfg.datum, beta)
                 if len(f_basis) != want or len(e_basis) != want:
                     return "fail", (f"basis sizes {len(f_basis)}/"
                                     f"{len(e_basis)} != partition count "
                                     f"{want}")
-                if not gram.det():
+                # det G = prod(factors) * det(coeffs), tested factor by factor
+                if not all(factors) or not coeffs.det():
                     return "fail", "Gram determinant vanishes"
                 return "pass", (f"dim {want}, Gram determinant nonzero")
 

@@ -7,8 +7,17 @@ pairs to the parameter bicharacter, mixed generator/torus pairs vanish --
 and extends by the two product axioms.  Peeling one lowering generator
 against the comultiplication of the right argument strips exactly one
 leading raising letter per word, so the recursion runs directly on cotensor
-words.  A transposed recursion (peeling the right argument against cuts of
-the left) provides an independent evaluation path.
+words and closes to
+
+    <f_{i1} ... f_{ik} K'_nu, x> = D_f * C_f(x),
+
+with D_f = prod_{i in f} q_ii/(1-q_ii) one scalar per index multiset
+(memoized on the pairing) and C_f(x) the sum of c_w q_{mu_w, nu} over the
+words c_w e_{i1} ... e_{ik} K_{mu_w} of x.  A Gram matrix comes back in that
+factored form, diag(D_f) times the coefficient matrix C, so its determinant
+is prod D_f * det C and elimination never meets the (1-q_ii)^k
+denominators.  A transposed recursion (peeling the right argument against
+cuts of the left) provides an independent evaluation path.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ class SkewPairing:
                      for i in range(self.datum.n)]
             self._halves[sign] = (graded_closure(
                 self.alg.one, self._zero, self.alg.unit(), steps, {}), [])
+        diagonal = [self.params.entry(i, i) for i in range(self.datum.n)]
+        self._base = [q / (self.alg.one - q) for q in diagonal]
+        # sorted index multiset -> D_f, one entry per multiset asked for
+        self._factors = {}
 
     # -- torus-exponent extraction ------------------------------------------------
 
@@ -54,33 +67,40 @@ class SkewPairing:
         return LatticeVector(tuple(out[:n]))
 
     def base_value(self, i):
-        qii = self.params.entry(i, i)
-        return qii / (self.alg.one - qii)
+        """q_ii/(1-q_ii): the pairing of f_i with e_i."""
+        return self._base[i]
+
+    def _row_factor(self, fseq):
+        """D_f = prod over i in f of q_ii/(1-q_ii): the factor every pairing
+        of the lowering monomial along fseq carries, whatever the right
+        argument.  It depends only on the multiset of indices."""
+        key = tuple(sorted(fseq))
+        out = self._factors.get(key)
+        if out is None:
+            out = self.alg.one
+            for i in key:
+                out = out * self._base[i]
+            self._factors[key] = out
+        return out
 
     # -- recursion on the lowering monomial --------------------------------------
+
+    def _coefficient(self, fseq, nu, x):
+        """C_f(x): the sum of c_w q_{mu_w, nu} over the words c_w E_f K_{mu_w}
+        of x whose letters are exactly the raising letters along fseq."""
+        letters = tuple(("E", i) for i in fseq)
+        out = self.alg.zero
+        for word, c in x.terms.items():
+            if word.letters == letters:
+                mu = self._torus_vector(word.tail, "K")
+                out = out + c * self.params.q_pairing(mu, nu)
+        return out
 
     def pair_monomial(self, fseq, nu, x):
         """Pairing of the lowering monomial (f_{i1} ... f_{ik} times the
         primed torus element with exponents nu) against an element of the
-        upper half."""
-        alg = self.alg
-        out = alg.zero
-        for word, c in x.terms.items():
-            if len(word.letters) != len(fseq):
-                continue
-            ok = True
-            for letter, i in zip(word.letters, fseq):
-                if letter != ("E", i):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            val = c
-            for i in fseq:
-                val = val * self.base_value(i)
-            mu = self._torus_vector(word.tail, "K")
-            out = out + val * self.params.q_pairing(mu, nu)
-        return out
+        upper half: D_f C_f(x)."""
+        return self._row_factor(fseq) * self._coefficient(fseq, nu, x)
 
     # -- transposed recursion on the raising monomial -----------------------------
 
@@ -136,13 +156,16 @@ class SkewPairing:
         return [path for path, _ in found], [x for _, x in found]
 
     def gram_matrix(self, beta):
-        """Gram matrix of the pairing on the graded bases at weight beta:
-        rows indexed by the lowering basis, columns by the raising one."""
+        """(f_basis, e_basis, factors, coeffs): the Gram matrix of the
+        pairing on the graded bases at weight beta, rows indexed by the
+        lowering basis and columns by the raising one, factored as
+        diag(factors) * coeffs with factors[r] = D_f of row r."""
         f_basis, _ = self.graded_basis("-", beta)
         e_basis, e_elts = self.graded_basis("+", beta)
-        rows = [[self.pair_monomial(fseq, self._zero, x) for x in e_elts]
-                for fseq in f_basis]
-        return f_basis, e_basis, Matrix(rows)
+        factors = [self._row_factor(fseq) for fseq in f_basis]
+        coeffs = Matrix([[self._coefficient(fseq, self._zero, x)
+                          for x in e_elts] for fseq in f_basis])
+        return f_basis, e_basis, factors, coeffs
 
 
 def weights_of_height(datum, h):

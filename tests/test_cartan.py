@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -140,6 +141,49 @@ def test_kostant_counts():
     b2 = CartanDatum.preset("B2")
     assert kostant_count(b2, LatticeVector((1, 1))) == 2
     assert kostant_count(b2, LatticeVector((1, 2))) == 3
+
+
+def test_kostant_count_matches_generating_function():
+    # the coefficients of prod over positive roots beta of 1/(1 - x^beta),
+    # truncated at height 8: multiplying by 1/(1 - x^beta) adds to each
+    # coefficient the (already updated) one at weight - beta
+    top = 8
+    for name in ALL_PRESETS:
+        datum = CartanDatum.preset(name)
+        weights = sorted((w for w in product(range(top + 1), repeat=datum.n)
+                          if sum(w) <= top), key=sum)
+        series = {w: int(not any(w)) for w in weights}
+        for beta in positive_roots(datum):
+            b = tuple(int(c) for c in beta.coords)
+            for w in weights:
+                rest = tuple(x - y for x, y in zip(w, b))
+                if min(rest) >= 0:
+                    series[w] += series[rest]
+        for w in weights:
+            assert kostant_count(datum, LatticeVector(w)) == series[w], (
+                name, w)
+
+
+def test_positive_roots_are_a_fresh_list_each_call():
+    for name in ALL_PRESETS:
+        datum = CartanDatum.preset(name)
+        first = positive_roots(datum)
+        want = list(first)
+        first.append(simple_root(datum, 0))
+        first.reverse()
+        again = positive_roots(datum)
+        assert again == want and again is not first
+
+
+def test_root_of_unity_diagonal_orders():
+    for name in ALL_PRESETS:
+        datum = CartanDatum.preset(name)
+        for ell in (5, 7):
+            pm = ParamMatrix.root_of_unity(datum, ell)
+            assert pm.orders == (ell,) * datum.n
+            for i in range(datum.n):
+                assert pm.entry(i, i).multiplicative_order() == ell, (
+                    name, ell, i)
 
 
 def test_constraint_holds_in_all_modes():

@@ -3,13 +3,16 @@ matrices."""
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from mpqg.cartan import (CartanDatum, LatticeVector, ParamMatrix, kostant_count,
                          positive_roots)
+from mpqg.cli import parse_config_text
 from mpqg.cotensor import word_key
-from mpqg.linalg import Echelon
+from mpqg.linalg import Echelon, Matrix
 from mpqg.pairing import SkewPairing, weights_of_height
 from mpqg.realization import FreeExpr, Realization, e, f, w, wp
 
@@ -112,12 +115,13 @@ def test_hand_gram_rank_one():
     alg = sp.alg
     q = sp.params.entry(0, 0)
     cbar = q / (alg.one - q)
-    _, _, m1 = sp.gram_matrix(lat(1))
-    assert m1.rows == [[cbar]]
-    _, _, m2 = sp.gram_matrix(lat(2))
+    _, _, factors, coeffs = sp.gram_matrix(lat(1))
+    assert factors == [cbar] and coeffs.rows == [[alg.one]]
+    _, _, factors, coeffs = sp.gram_matrix(lat(2))
     two_q = alg.one + q
-    assert m2.rows == [[two_q * cbar * cbar]]
-    assert m2.det() != alg.zero
+    assert factors == [cbar * cbar] and coeffs.rows == [[two_q]]
+    assert factors[0] * coeffs.rows[0][0] == two_q * cbar * cbar
+    assert coeffs.det() != alg.zero
 
 
 def test_hand_gram_a2_mixed_weight():
@@ -125,13 +129,14 @@ def test_hand_gram_a2_mixed_weight():
     alg = sp.alg
     pm = sp.params
     cb = sp.base_value(0) * sp.base_value(1)
-    f_basis, e_basis, m = sp.gram_matrix(lat(1, 1))
+    f_basis, e_basis, factors, coeffs = sp.gram_matrix(lat(1, 1))
     assert f_basis == [(0, 1), (1, 0)] and e_basis == [(0, 1), (1, 0)]
-    assert m.rows == [[cb, pm.entry(1, 0) * cb],
-                      [pm.entry(0, 1) * cb, cb]]
+    assert factors == [cb, cb]
+    assert coeffs.rows == [[alg.one, pm.entry(1, 0)],
+                           [pm.entry(0, 1), alg.one]]
     want_det = cb * cb * (alg.one - pm.entry(0, 1) * pm.entry(1, 0))
-    assert m.det() == want_det
-    assert m.det() != alg.zero
+    assert factors[0] * factors[1] * coeffs.det() == want_det
+    assert coeffs.det() != alg.zero
 
 
 @pytest.mark.parametrize("preset,max_h", [("A1", 4), ("A2", 4), ("B2", 4)])
@@ -155,8 +160,20 @@ def enumerated_orders(beta):
     return sorted(set(permutations(letters)))
 
 
+def config_numeric(name):
+    text = (Path(__file__).resolve().parents[1] / "configs" / name).read_text(
+        encoding="utf-8")
+    return parse_config_text(text)["numeric"]
+
+
 PARAMS = {
     "symbolic": ParamMatrix.symbolic,
+    "numeric": lambda datum: ParamMatrix.numeric(datum, {
+        "A1": {(0, 0): 5},
+        "A2": {(0, 0): 5, (1, 1): 5, (0, 1): 3},
+        "B2": config_numeric("b2-numeric.cfg"),
+        "G2": config_numeric("g2-numeric.cfg"),
+    }[datum.name]),
     "root-of-unity": lambda datum: ParamMatrix.root_of_unity(datum, 5),
 }
 
@@ -207,10 +224,35 @@ def test_gram_nondegenerate_low_heights():
         sp = make_pairing(preset)
         for h in range(1, max_h + 1):
             for beta in weights_of_height(sp.datum, h):
-                _, _, m = sp.gram_matrix(beta)
-                if not m.rows:
+                _, _, factors, coeffs = sp.gram_matrix(beta)
+                if not coeffs.rows:
                     continue
-                assert m.det() != sp.alg.zero, (preset, beta.coords)
+                assert all(factors), (preset, beta.coords)
+                assert coeffs.det() != sp.alg.zero, (preset, beta.coords)
+
+
+@pytest.mark.parametrize("mode", sorted(PARAMS))
+@pytest.mark.parametrize("preset,max_h",
+                         [("A1", 4), ("A2", 4), ("B2", 4), ("G2", 3)])
+def test_factored_gram_matches_transposed_recursion(preset, max_h, mode):
+    # diag(factors) * coeffs is the Gram matrix entry by entry, against the
+    # recursion on the raising argument, and so is its determinant
+    datum = CartanDatum.preset(preset)
+    sp = SkewPairing(Realization(datum, PARAMS[mode](datum)))
+    zero = lat(*(0,) * datum.n)
+    for h in range(1, max_h + 1):
+        for beta in weights_of_height(datum, h):
+            f_basis, e_basis, factors, coeffs = sp.gram_matrix(beta)
+            entries = [[sp.pair_transposed(realized(sp, "-", fseq, zero),
+                                           eseq, zero) for eseq in e_basis]
+                       for fseq in f_basis]
+            for r, row in enumerate(entries):
+                for c, want in enumerate(row):
+                    got = factors[r] * coeffs.rows[r][c]
+                    assert got == want, (beta.coords, r, c)
+            if entries:
+                assert (prod(factors) * coeffs.det()
+                        == Matrix(entries).det()), beta.coords
 
 
 def test_weights_of_height_enumeration():

@@ -50,6 +50,9 @@ REACHABILITY_EXEMPT = {
                        "the other argument",
     "specialize": "oracle evaluating symbolic scalars at numeric and "
                   "root-of-unity parameters",
+    "multiplicative_order": "oracle for the diagonal orders that "
+                            "ParamMatrix.root_of_unity states without "
+                            "computing them",
 }
 
 
