@@ -35,7 +35,7 @@ from .cartan import (CartanDatum, LatticeVector, ParamMatrix,
 from .cotensor import Word
 from .linalg import add_into
 from .modules import (ClosureError, FiniteTypeError, alcove_check,
-                      build_module, render_weight, root_of_unity_module)
+                      build_module, root_of_unity_module)
 from .pairing import SkewPairing, weights_of_height
 from .realization import IdealReducer, Realization, relation_verdict
 from .twist import build_twist
@@ -463,12 +463,13 @@ def cmd_pairing_gram(cfg):
         return "pass", f"{cfg.datum.n} generator pairs"
 
     _run(records, "pairing/base-values", base, base_values)
+    finite = cfg.datum.is_finite_type()
     for h in range(1, cfg.max_height + 1):
         for beta in sorted(weights_of_height(cfg.datum, h),
                            key=lambda b: b.coords):
 
             def fn(beta=beta):
-                if not cfg.datum.is_finite_type():
+                if not finite:
                     return "undecided", ("no partition-count oracle for a "
                                          "datum not of finite type")
                 f_basis, e_basis, factors, coeffs = pairing.gram_matrix(beta)
@@ -482,7 +483,7 @@ def cmd_pairing_gram(cfg):
                     return "fail", "Gram determinant vanishes"
                 return "pass", (f"dim {want}, Gram determinant nonzero")
 
-            _run(records, f"pairing/gram{render_weight(beta)}",
+            _run(records, f"pairing/gram{beta!r}",
                  {**base, "height": h}, fn)
     return records
 
@@ -556,7 +557,7 @@ def cmd_module(cfg):
     records = []
     base = cfg.base_inputs()
     for lam in cfg.module_weights():
-        inputs = {**base, "weight": render_weight(lam)}
+        inputs = {**base, "weight": repr(lam)}
         verdicts = ModuleVerdicts(
             partial(_build_module, cfg, lam, cfg.mode == "root-of-unity"))
         for name in verdicts.NAMES:
@@ -651,7 +652,7 @@ def cmd_smallqg(cfg):
 
     weights = cfg.module_weights()
     for lam in weights:
-        inputs = {**base, "weight": render_weight(lam)}
+        inputs = {**base, "weight": repr(lam)}
 
         def fn(lam=lam):
             try:

@@ -284,46 +284,37 @@ class CotensorAlgebra:
         product of the characters of v's letters and shift_st sets every
         tail to st.  Only words with identity tails are walked; a product
         with a tail is derived from the cached identity-tail product, and
-        its words share that product's letter tuples.  `walk_product`
-        gives the same map without the cache."""
+        its words share that product's letter tuples.  It is the one
+        entry point to the product walk."""
         key = (wx, wy)
-        got = self._prod_cache.get(key)
+        cache = self._prod_cache
+        got = cache.get(key)
         if got is not None:
             return got
         e = self.group.identity
         base_key = (Word(wx.letters, e), Word(wy.letters, e))
-        base = self._prod_cache.get(base_key)
+        base = cache.get(base_key)
         if base is None:
-            base = self._prod_cache[base_key] = self.walk_product(*base_key)
-        got = self._prod_cache[key] = self._shift(base, wx.tail, wy)
-        return got
-
-    def walk_product(self, wx, wy):
-        """`word_product` without the cache: one walk of the two letter
-        tuples with the tails applied, for products that are used once."""
-        return self._shift(self._walk(wx.letters, wy.letters), wx.tail, wy)
-
-    def _shift(self, base, s, wy):
-        """(u.s) * (v.t) from base = u * v on identity tails:
-        chi_v(s) shift_st(base), and base itself when s and t are the
-        identity."""
-        e = self.group.identity
-        t = wy.tail
+            base = cache[base_key] = self._walk(wx.letters, wy.letters)
+        s, t = wx.tail, wy.tail
         if s == e and t == e:
             return base
         chi = None
         if s != e:
-            cache = self._left_cache
+            left = self._left_cache
             for b in wy.letters:
-                c = cache.get((b, s), _UNSET)
+                c = left.get((b, s), _UNSET)
                 if c is _UNSET:
-                    c = cache[b, s] = self._unless_one(self.letters[b].char(s))
+                    c = left[b, s] = self._unless_one(self.letters[b].char(s))
                 if c is not None:
                     chi = c if chi is None else chi * c
         st = self.group.mul(s, t)
         if chi is None:
-            return {Word(w.letters, st): c for w, c in base.items()}
-        return {Word(w.letters, st): chi * c for w, c in base.items()}
+            got = {Word(w.letters, st): c for w, c in base.items()}
+        else:
+            got = {Word(w.letters, st): chi * c for w, c in base.items()}
+        cache[key] = got
+        return got
 
     def _unless_one(self, c):
         return None if c == self.one else c

@@ -26,15 +26,11 @@ from .linalg import Matrix
 from .realization import Realization, graded_closure, relation_exprs
 
 
-def render_weight(mu) -> str:
-    return "(" + ", ".join(str(c) for c in mu.coords) + ")"
-
-
 class ClosureError(RuntimeError):
     """Lowering closure did not stabilize within the depth cutoff."""
 
     def __init__(self, depth, pending):
-        names = ", ".join(render_weight(mu) for mu in pending)
+        names = ", ".join(map(repr, pending))
         super().__init__(
             f"lowering closure still open at depth {depth}; pending weight "
             f"spaces: {names}")
@@ -198,7 +194,7 @@ class HighestWeightModule:
                 cc = self.coords_at(target, img)
                 if cc is None:
                     raise ValueError(
-                        f"action image of a weight-{render_weight(mu)} "
+                        f"action image of a weight-{mu!r} "
                         f"vector left the computed module")
                 cols.append(cc)
             got = (target, Matrix([[col[t] for col in cols]
@@ -207,8 +203,7 @@ class HighestWeightModule:
             got = (target, None)
         else:
             raise ValueError(
-                "action image outside the weight ladder at "
-                + render_weight(mu))
+                f"action image outside the weight ladder at {mu!r}")
         self._mat_cache[key] = got
         return got
 
@@ -300,6 +295,6 @@ def root_of_unity_module(datum, lam, ell, *, offdiag=None, max_depth=None):
     the finite grading group; refuses weights outside the alcove."""
     if not alcove_check(datum, lam, ell):
         raise ValueError(
-            f"weight {render_weight(lam)} lies outside the order-{ell} alcove")
+            f"weight {lam!r} lies outside the order-{ell} alcove")
     params = ParamMatrix.root_of_unity(datum, ell, offdiag=offdiag)
     return build_module(datum, params, lam, max_depth=max_depth)

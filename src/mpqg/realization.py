@@ -3,10 +3,11 @@ machinery, the defining relations, adjoint powers with their closed forms,
 and reduction modulo the distinguished Hopf ideal.
 
 The ideal is generated by r_i = xi_i - K_i K'_i^{-1} + 1.  Reduction is a
-three-valued decision procedure with one reducer, `NormalFormTable`: "zero"
-when the element reduces to nothing against the table of ideal elements
-u * r_i * v closed over its words; "nonzero" is only certified on the
-filtration-1 contraction-free part (group algebra plus single
+three-valued decision procedure: "zero" when `IdealReducer.xi_rewrite`
+leaves nothing (it settles every R5(i,i) residual) or, failing that, when
+the element reduces to nothing against the `NormalFormTable` of ideal
+elements u * r_i * v closed over its words; "nonzero" is only certified on
+the filtration-1 contraction-free part (group algebra plus single
 raising/lowering letters), where the realization is injective so the ideal
 meets it trivially; everything else is "undecided" at the given bound.
 """
@@ -358,35 +359,24 @@ class IdealReducer:
         contraction letter X_i at position p of the word: u is the prefix,
         v the suffix together with the tail.
 
-        It is built from word products that bypass the algebra's cache
-        (`CotensorAlgebra.walk_product`): a table's closure uses most of
-        these products once, so caching them only held memory.  With
-        k = K_i K'_i^{-1} and r_i = X_i - k + 1, u * r_i * v is the sum of
-        c * (w * v) over the words w of u * X_i with coefficient c, plus
-        (1 - chi_v(k) shift_k)(u * v): shift_k multiplies every tail by k,
-        and chi_v(k) is the product of the characters of v's letters at k.
-        That is (u k) * v = chi_v(k) shift_k(u * v), because each letter of
-        v meets u's tail exactly once, by a left action or in a contraction
-        coefficient.  No two of the three parts share a word (they differ
-        in letter counts or by k in the tail), so the terms come out in the
-        order that the product (u * r_i) * v gives them."""
+        It is built from cached `CotensorAlgebra.word_product`s alone.
+        With k = K_i K'_i^{-1} and r_i = X_i - k + 1, u * r_i * v is the
+        sum of c * (w * v) over the words w of u * X_i with coefficient c,
+        minus (u k) * v, plus u * v.  No two of the three parts share a
+        word (they differ in letter counts or by k in the tail), so the
+        terms come out in the order that the product (u * r_i) * v gives
+        them."""
         alg = self.alg
         g = alg.group
         i = wrd.letters[p][1]
-        k = _kkp(g, i)
         u = Word(wrd.letters[:p], g.identity)
         v = Word(wrd.letters[p + 1:], wrd.tail)
         one = alg.one
         out = {}
-        for w, c in alg.walk_product(u, Word((("X", i),), g.identity)).items():
-            add_into(out, alg.walk_product(w, v), None if c == one else c)
-        uv = alg.walk_product(u, v)
-        chi = -one
-        for b in v.letters:
-            chi = chi * alg.letters[b].char(k)
-        add_into(out, {Word(w.letters, g.mul(k, w.tail)): c
-                       for w, c in uv.items()}, chi)
-        add_into(out, uv)
+        for w, c in alg.word_product(u, Word((("X", i),), g.identity)).items():
+            add_into(out, alg.word_product(w, v), None if c == one else c)
+        add_into(out, alg.word_product(Word(u.letters, _kkp(g, i)), v), -one)
+        add_into(out, alg.word_product(u, v))
         return alg.element(out)
 
     def reduce(self, x, bound=4):
@@ -442,31 +432,24 @@ class NormalFormTable:
     ideal, so a residual is always congruent to its input; it is reported
     as a normal form only when it is contraction-free.  The table grows
     deterministically, so one table can serve many reductions.  It is the
-    one reducer: `IdealReducer.reduce` decides membership on a
-    fresh table per weight component.
+    membership fallback of `IdealReducer.reduce`, for a residual that
+    `xi_rewrite` leaves nonzero (no CLI run reaches it: every R5(i,i)
+    residual, plain or twisted, is zero after the rewrite), and the oracle
+    the letter-deletion module actions are tested against.
 
     `ensure` first collects a whole closure of generators, then adds them
     in descending order of each generator's least word under `_pivot_key`
     (stable, so ties keep discovery order), as F4 sorts its batch before
     eliminating: each new pivot then lies below the older ones, which
     rarely need back-elimination.  The reduced echelon form of a span is
-    unique, so rows and normal forms do not depend on that order.  The
-    generators come from `IdealReducer.targeted_generator`, whose word
-    products bypass the algebra's product cache, so a closure leaves that
-    cache as it found it; what the table holds is its rows, the words it
-    has ensured, and each word's `_pivot_key`, memoized for the table's
-    lifetime (it serves as the `Echelon` key and in the sort).  With
-    exact-rational coefficients the `Echelon` eliminates on primitive
-    integer rows, reducing a vector by the rows whose pivots it carries,
-    and hands out the same `Fraction`s.  With
+    unique, so rows and normal forms do not depend on that order.  With
     symbolic `Scalar` coefficients the generators keep discovery order:
     `Scalar` has no gcd, so the order of row operations sets the size of
     its coefficients (sorted, reducing the raising images of the symbolic
     A1 module at weight 3/2 ran past 120 s instead of 0.2 s).  That
     exception goes once `Scalar` keeps factored denominators (ROADMAP
-    item 5).  `max_rows` caps the rows held
-    plus the generators collected, so a saturated closure adds nothing
-    past it.
+    item 5).  `max_rows` caps the rows held plus the generators collected,
+    so a saturated closure adds nothing past it.
     """
 
     def __init__(self, reducer: IdealReducer, *, bound=8, max_rows=4000):
@@ -474,8 +457,7 @@ class NormalFormTable:
         self.alg = reducer.alg
         self.bound = bound
         self.max_rows = max_rows
-        self._keys = {}         # word -> its `_pivot_key`
-        self.rows = Echelon(self.alg.one, self._key)
+        self.rows = Echelon(self.alg.one, self._pivot_key)
         self._ensured = set()   # words whose targeted generators are present
         self.saturated = False
 
@@ -483,16 +465,8 @@ class NormalFormTable:
     def _pivot_key(w):
         return (0 if has_contraction(w) else 1,) + word_key(w)
 
-    def _key(self, w):
-        """`_pivot_key`, memoized for the table's lifetime; the words are
-        those of the table's own closure, which `max_rows` caps."""
-        got = self._keys.get(w)
-        if got is None:
-            got = self._keys[w] = self._pivot_key(w)
-        return got
-
     def _lead_key(self, gen):
-        return min(map(self._key, gen.terms), default=())
+        return min(map(self._pivot_key, gen.terms), default=())
 
     def ensure(self, words):
         """Add the targeted replacement generators for every contraction

@@ -216,9 +216,9 @@ def _sparse_fractions(rng, keys, count):
 
 
 def test_rational_echelon_matches_gauss_jordan_oracle():
-    # over Q the elimination visits the pivots in the vector's own order;
     # every other vector lists its entries against the pivot order
-    # (greatest key first), so the rows are met in reverse
+    # (greatest key first): the rows, remainders and pivot values must
+    # not depend on the order of a vector's entries
     rng = random.Random(20261019)
     letters = [("E", 0), ("E", 1), ("F", 0), ("F", 1), ("X", 0), ("V",)]
     words = sorted({Word(tuple(rng.choice(letters)

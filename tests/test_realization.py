@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mpqg.cartan import CartanDatum, LatticeVector, ParamMatrix, rho
+from mpqg.cartan import PRESETS, CartanDatum, ParamMatrix, rho
 from mpqg.cotensor import Word
 from mpqg.realization import (FreeExpr, IdealReducer, NormalFormTable,
                               Realization, e, f, relation_verdict, w, wp)
+from mpqg.twist import build_twist
 
 
 def r_elt(alg, i):
@@ -103,7 +104,8 @@ def test_relations_root_of_unity_a2():
         assert status == want, f"{rid}: {status} != {want}"
 
 
-def test_commutator_residual_diagonal_form():
+def test_commutator_residual_diagonal_form(monkeypatch):
+    monkeypatch.setattr(NormalFormTable, "__init__", _refuse_table)
     real = make_real("A2")
     alg = real.alg
     g = alg.group
@@ -117,10 +119,46 @@ def test_commutator_residual_diagonal_form():
         Word((), kp0): c,
     })
     assert res == expected
+    assert _diagonal_commutators_settled(real, real.relation_residuals) == 2
+
+
+def _diagonal_commutators_settled(real, residuals):
+    """Check that `xi_rewrite` alone settles every R5(i,i) residual of
+    residuals(rid) (reduce answers zero without building a table); returns
+    how many residuals were checked."""
     reducer = IdealReducer(real)
-    assert reducer.xi_rewrite(res).is_zero
-    status, _ = reducer.reduce(res)
-    assert status == "zero"
+    checked = 0
+    for i in range(real.datum.n):
+        for res in residuals(("R5", i, i)):
+            assert not res.is_zero
+            assert reducer.xi_rewrite(res).is_zero
+            assert reducer.reduce(res)[0] == "zero"
+            checked += 1
+    return checked
+
+
+def _refuse_table(*_args, **_kwargs):
+    raise AssertionError("a NormalFormTable was built")
+
+
+def test_diagonal_commutator_needs_no_table(preset_params, monkeypatch):
+    # only R5(i,i) holds merely modulo the ideal, and the rewrite of the
+    # contraction letters settles it before any reduction table is built
+    monkeypatch.setattr(NormalFormTable, "__init__", _refuse_table)
+    datum, params = preset_params
+    real = Realization(datum, params)
+    assert _diagonal_commutators_settled(real, real.relation_residuals) \
+        == datum.n
+
+
+@pytest.mark.parametrize("target", ["one-parameter", "identity"])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_twisted_diagonal_commutator_needs_no_table(preset, target,
+                                                   monkeypatch):
+    monkeypatch.setattr(NormalFormTable, "__init__", _refuse_table)
+    ctx = build_twist(CartanDatum.preset(preset), target)
+    assert _diagonal_commutators_settled(ctx.real, ctx.twisted_residuals) \
+        == ctx.datum.n
 
 
 def test_commutator_off_diagonal_literally_zero():
@@ -352,30 +390,3 @@ def test_targeted_generator_matches_product_formula(preset_params):
                 assert all(got[w] == want[w] for w in want), (wrd, p)
                 checked += 1
     assert checked >= 24
-
-
-def test_targeted_generator_leaves_product_cache_alone():
-    # generators are single-use: building them must not grow the algebra's
-    # word-product cache, which module actions keep for their own products
-    datum = CartanDatum.preset("A2")
-    params = ParamMatrix.numeric(datum, {(0, 0): 5, (1, 1): 5, (0, 1): 3})
-    real = Realization(datum, params, LatticeVector((Fraction(2),
-                                                     Fraction(1))))
-    alg = real.alg
-    reducer = IdealReducer(real)
-    tags = [t for t in alg.letters if t[0] not in ("E", "V")]
-    words = _random_contraction_words(alg, random.Random(20261020), tags,
-                                      12, 5, (("V",),))
-    checked = 0
-    for wrd in words:
-        for p, letter in enumerate(wrd.letters):
-            if letter[0] != "X":
-                continue
-            cached = len(alg._prod_cache)
-            got = reducer.targeted_generator(wrd, p).terms
-            assert len(alg._prod_cache) == cached, (wrd, p)
-            want = _product_formula(reducer, wrd, p).terms
-            assert list(got) == list(want), (wrd, p)
-            assert all(got[w] == want[w] for w in want), (wrd, p)
-            checked += 1
-    assert checked >= 12

@@ -172,3 +172,13 @@ def test_no_dead_local_stores():
                             dead.add(f"{path.name}:{target.lineno} "
                                      f"{target.id}")
     assert dead == set()
+
+
+def test_elimination_names_no_coefficient_type():
+    # linalg.py runs one elimination path for every coefficient field, so
+    # it imports nothing a coefficient type could come from
+    tree = ast.parse((ROOT / "src" / "mpqg" / "linalg.py").read_text())
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    assert imports == []
